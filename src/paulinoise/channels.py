@@ -26,10 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, PhysicalityError, SizeLimitError
+from .errors import DimensionError, PhysicalityError
 from .paulis import (
     DEFAULT_UNITARITY_TOL,
-    basis_matrices,
+    check_qubits,
+    pauli_basis,
+    pauli_matrix,
     qubit_count,
     require_unitary,
 )
@@ -102,12 +104,7 @@ def channel_from_oracle(oracle: Callable[[np.ndarray], np.ndarray], dim: int) ->
     """
     if dim < 2:
         raise DimensionError("operator dimension must be at least 2")
-    n_estimate = max(1, int(dim - 1).bit_length())
-    if n_estimate > DEFAULT_SUPEROP_MAX_QUBITS:
-        raise SizeLimitError(
-            f"dimension {dim} exceeds the dense superoperator cap of "
-            f"{DEFAULT_SUPEROP_MAX_QUBITS} qubits"
-        )
+    check_qubits(int(dim - 1).bit_length(), DEFAULT_SUPEROP_MAX_QUBITS)
     s = np.empty((dim * dim, dim * dim), dtype=complex)
     unit = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
@@ -229,16 +226,15 @@ def pauli_pair_diagonal(
 
     ``w_P = (1 / D^2) sum_{a,b,c,e} P[a, c] s[(c, e), (a, b)] P[e, b]``
 
-    The result is complex; hermiticity-preserving channels have real entries.
+    The Pauli matrices are stacked from :func:`pauli_matrix` on every call,
+    so this oracle shares no code with the per-qubit transform behind
+    ``coefficient_matrix``. The result is complex; hermiticity-preserving
+    channels have real entries.
     """
     s = np.asarray(s, dtype=complex)
     d2, d = superoperator_dims(s)
-    n = qubit_count(d)
-    if n > max_qubits:
-        raise SizeLimitError(
-            f"qubit count {n} exceeds the dense superoperator cap of {max_qubits}"
-        )
-    stack = basis_matrices(n, max_qubits=max(n, max_qubits))
+    n = check_qubits(qubit_count(d), max_qubits)
+    stack = np.stack([pauli_matrix(label) for label in pauli_basis(n, max_qubits=max_qubits)])
     t = s.reshape(d, d, d, d)
     return np.einsum("pac,ceab,peb->p", stack, t, stack, optimize=True) / d2
 

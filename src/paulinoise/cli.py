@@ -51,7 +51,7 @@ from .model_io import (
     KIND_OPERATOR,
     KIND_SUPEROPERATOR,
     MatrixDocument,
-    _dump_json,
+    dump_json,
     export_stim_chain,
     model_to_document,
     read_ensemble_file,
@@ -373,7 +373,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             "allow_nonphysical": bool(args.allow_nonphysical),
         },
     }
-    text = _dump_json(args.output, document)
+    text = dump_json(args.output, document)
     if args.output:
         print(f"wrote {args.output}")
         print(f"distance={value!r}")

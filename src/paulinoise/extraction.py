@@ -40,11 +40,12 @@ from .channels import (
     superoperator_dims,
     trace_preservation_defect,
 )
-from .errors import DimensionError, PhysicalityError, SizeLimitError
+from .errors import DimensionError, PhysicalityError
 from .paulis import (
     DEFAULT_MAX_QUBITS,
     DEFAULT_UNITARITY_TOL,
-    basis_matrices,
+    _pauli_transform,
+    check_qubits,
     index_to_label,
     pauli_basis,
     pauli_matrix,
@@ -211,6 +212,11 @@ def error_unitary(
     return u @ u0.conj().T
 
 
+def _amplitudes(m: np.ndarray, n: int) -> np.ndarray:
+    """``Tr(P m) / 2**n`` for every ``n``-qubit string ``P``, in basis index order."""
+    return _pauli_transform(m, [(q, n + q) for q in range(n)])
+
+
 def pauli_coefficients(
     u_err: np.ndarray,
     *,
@@ -226,18 +232,11 @@ def pauli_coefficients(
     m = np.asarray(u_err, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square operator, got shape {m.shape}")
-    n = qubit_count(m.shape[0])
-    labels = pauli_basis(n, max_qubits=max_qubits)
-    if norm_dim is None:
-        norm_dim = m.shape[0]
-    if n <= 5:
-        stack = basis_matrices(n, max_qubits=max(n, max_qubits))
-        values = np.einsum("pij,ij->p", stack.conj(), m, optimize=True) / norm_dim
-        return dict(zip(labels, (complex(v) for v in values)))
-    # Past the cached-stack range, materialize one string at a time.
-    return {
-        lab: complex(np.sum(pauli_matrix(lab).conj() * m) / norm_dim) for lab in labels
-    }
+    n = check_qubits(qubit_count(m.shape[0]), max_qubits)
+    amp = _amplitudes(m, n)
+    if norm_dim is not None and norm_dim != m.shape[0]:
+        amp = amp * (m.shape[0] / norm_dim)
+    return dict(zip(pauli_basis(n, max_qubits=max_qubits), amp.tolist()))
 
 
 def pauli_coefficient_via_bitstrings(
@@ -297,24 +296,18 @@ def coefficient_matrix(
 ) -> np.ndarray:
     """Full Pauli-pair coefficient matrix ``w[P, Q] = <kron(P, Q.conj()), s>``.
 
-    Computed by regrouping the superoperator indices so that every inner
-    product becomes a bilinear form over vectorized Pauli strings; the whole
-    matrix is three dense matrix products instead of ``16**n`` traces. For the
-    lift of a unitary with amplitudes ``u``, ``w = outer(u, u.conj())``.
+    One per-qubit transform over the ``2n`` index pairs of ``s``, at cost
+    ``O(n 16**n)`` instead of ``16**n`` traces. For the lift of a unitary with
+    amplitudes ``u``, ``w = outer(u, u.conj())``.
     """
     s = np.asarray(s, dtype=complex)
-    d2, d = superoperator_dims(s)
-    n = qubit_count(d)
-    if n > max_qubits:
-        raise SizeLimitError(
-            f"qubit count {n} exceeds the dense superoperator cap of {max_qubits}"
-        )
-    stack = basis_matrices(n, max_qubits=max(n, max_qubits))
-    flat = stack.reshape(4**n, d2)
-    # s[(i,k),(j,l)] reindexed to g[(i,j),(k,l)] so that
-    # w[P,Q] = vec(P)^* g vec(Q) / D^2.
-    g = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
-    return (flat.conj() @ g @ flat.T) / d2
+    _, d = superoperator_dims(s)
+    n = check_qubits(qubit_count(d), max_qubits)
+    # s[(i,k),(j,l)] pairs (i_q, j_q) for P. Q is Hermitian, so
+    # Q[k,l] = conj(Q[l,k]) and pairing (l_q, k_q) lets the same conjugated
+    # map serve Q as well.
+    pairs = [(q, 2 * n + q) for q in range(n)] + [(3 * n + q, n + q) for q in range(n)]
+    return _pauli_transform(s, pairs).reshape(4**n, 4**n)
 
 
 def diagonal_weights_via_fidelity(
@@ -549,19 +542,14 @@ def extract_from_unitary(
     leak = 0.0
     if leakage is not None:
         err, leak = leakage_project(err, leakage)
-    n = qubit_count(err.shape[0])
-    if n > max_qubits:
-        raise SizeLimitError(
-            f"qubit count {n} exceeds the configured cap of {max_qubits}"
-        )
-    coeffs = pauli_coefficients(err, max_qubits=max_qubits)
-    labels = pauli_basis(n, max_qubits=max(n, max_qubits))
-    amp = np.array([coeffs[lab] for lab in labels], dtype=complex)
+    n = check_qubits(qubit_count(err.shape[0]), max_qubits)
+    amp = _amplitudes(err, n)
     diag = np.abs(amp) ** 2
     total = float(diag.sum())
     # w = outer(amp, amp*): off-diagonal weight in closed form.
     residual_sq = max(total**2 - float(np.sum(diag**2)), 0.0)
     model = _assemble_model(diag.astype(complex), leak, residual_sq, clamp_tol)
+    coeffs = dict(zip(pauli_basis(n, max_qubits=max_qubits), amp.tolist()))
     return ExtractionResult(model=model, coefficients=coeffs, weights=None)
 
 

@@ -17,10 +17,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, SizeLimitError
+from .errors import DimensionError
 from .paulis import (
     DEFAULT_MAX_QUBITS,
     DEFAULT_UNITARITY_TOL,
+    check_qubits,
     pauli_matrix,
     require_unitary,
     validate_label,
@@ -49,10 +50,7 @@ def overrotated_cz(theta: float) -> np.ndarray:
 
 def random_unitary(n: int, seed: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Haar-random ``2**n`` unitary, deterministic for a fixed ``seed``."""
-    if not 1 <= n <= max_qubits:
-        raise SizeLimitError(
-            f"qubit count {n} is outside the supported range [1, {max_qubits}]"
-        )
+    check_qubits(n, max_qubits)
     dim = 2**n
     rng = np.random.default_rng(seed)
     ginibre = (

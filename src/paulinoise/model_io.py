@@ -47,7 +47,9 @@ import numpy as np
 from .errors import ModelFormatError
 from .extraction import ModelDiagnostics, PauliNoiseModel
 from .generators import EnsembleMember
-from .paulis import DEFAULT_MAX_QUBITS, label_to_index, pauli_basis, validate_label
+# pauli_basis is unused here but stays importable from this module, because
+# the traced benchmark run (bench/tracing.py) rebinds model_io.pauli_basis.
+from .paulis import label_to_index, pauli_basis, validate_label  # noqa: F401
 
 FORMAT_VERSION = 1
 
@@ -90,7 +92,9 @@ def _load_json(path: str | Path) -> Any:
         raise _fail(path, f"invalid JSON ({exc})") from exc
 
 
-def _dump_json(path: str | Path | None, document: dict[str, Any]) -> str:
+def dump_json(path: str | Path | None, document: dict[str, Any]) -> str:
+    """Serialize ``document`` as sorted, indented JSON; write it to ``path``
+    unless that is ``None``, and return the text."""
     try:
         text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -202,7 +206,7 @@ def write_matrix_file(
         "data": _complex_pairs(matrix),
         "meta": _check_meta(meta, path),
     }
-    return _dump_json(path, document)
+    return dump_json(path, document)
 
 
 def read_matrix_file(path: str | Path) -> MatrixDocument:
@@ -247,7 +251,7 @@ def write_ensemble_file(
         ],
         "meta": _check_meta(meta, path),
     }
-    return _dump_json(path, document)
+    return dump_json(path, document)
 
 
 def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
@@ -303,7 +307,7 @@ def write_coefficient_file(
         "data": _complex_pairs(weights),
         "meta": _check_meta(meta, path),
     }
-    return _dump_json(path, document)
+    return dump_json(path, document)
 
 
 def read_coefficient_file(path: str | Path) -> np.ndarray:
@@ -372,7 +376,7 @@ def write_model(
     document = model_to_document(
         model, floor=floor, provenance=provenance, strict=strict
     )
-    return _dump_json(path, document)
+    return dump_json(path, document)
 
 
 def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
@@ -385,9 +389,9 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     _check_header(doc, KIND_MODEL, path)
     n = doc.get("n")
     _require(
-        isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= DEFAULT_MAX_QUBITS,
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1,
         path,
-        f"'n' must be an integer in [1, {DEFAULT_MAX_QUBITS}], got {n!r}",
+        f"'n' must be a positive integer, got {n!r}",
     )
     entries = doc.get("entries")
     _require(isinstance(entries, list), path, "'entries' must be a list")
@@ -479,14 +483,12 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
 def _chain_entries(model: PauliNoiseModel) -> list[tuple[str, float]]:
     """Non-identity entries in canonical index order, zeros dropped."""
     identity = "I" * model.n
-    labels = pauli_basis(model.n, max_qubits=max(model.n, DEFAULT_MAX_QUBITS))
-    out = []
-    for label in labels:
-        if label == identity:
-            continue
-        prob = model.probabilities.get(label, 0.0)
-        if prob > 0.0:
-            out.append((label, float(prob)))
+    out = [
+        (label, float(prob))
+        for label, prob in model.probabilities.items()
+        if prob > 0.0 and label != identity
+    ]
+    out.sort(key=lambda item: label_to_index(item[0]))
     return out
 
 

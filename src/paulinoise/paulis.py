@@ -1,4 +1,5 @@
-"""Pauli-string labels, their dense matrices, and the normalized inner product.
+"""Pauli-string labels, their dense matrices, the per-qubit Pauli transform,
+and the normalized inner product.
 
 Conventions used consistently across the package:
 
@@ -14,11 +15,13 @@ Conventions used consistently across the package:
   the shared matrix dimension by default. Under that normalization the Pauli
   strings form an orthonormal family and the expansion coefficients of a
   unitary ``U`` are ``u_P = frobenius_inner(pauli_matrix(P), U)``.
+* Operator and superoperator expansions go through :func:`_pauli_transform`,
+  which applies one 4x4 map per qubit index pair instead of one trace per
+  string: ``O(n 4^n)`` for an operator, ``O(n 16^n)`` for a superoperator,
+  and no basis stack.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -26,7 +29,11 @@ from .errors import DimensionError, PhysicalityError, SizeLimitError
 
 PAULI_ALPHABET = "IXYZ"
 
-#: Largest qubit count accepted by label enumeration and dense materialization.
+#: Maps each label character to its base-4 digit.
+_DIGITS = str.maketrans(PAULI_ALPHABET, "0123")
+
+#: Default cap on label enumeration and on the unitary route; label lists
+#: and models hold ``4**n`` entries.
 DEFAULT_MAX_QUBITS = 6
 
 #: Default tolerance for unitarity checks on numerical inputs.
@@ -38,6 +45,20 @@ _SINGLE = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+#: Row ``a`` is ``conj(p_a)`` flattened and halved: contracted with one
+#: qubit's flattened index pair ``(row, col)`` it yields that qubit's factor
+#: of ``Tr(P^dag m) / D``, and the halves multiply up to ``1 / D``.
+_PAIR_MAP = np.stack([_SINGLE[ch].conj().reshape(-1) for ch in PAULI_ALPHABET]) / 2
+
+
+def check_qubits(n: int, cap: int) -> int:
+    """Return ``n`` if it lies in ``[1, cap]``; raise :class:`SizeLimitError` otherwise."""
+    if not 1 <= n <= cap:
+        raise SizeLimitError(
+            f"qubit count {n} is outside the supported range [1, {cap}]"
+        )
+    return n
 
 
 def validate_label(label: str) -> str:
@@ -55,11 +76,7 @@ def validate_label(label: str) -> str:
 
 def label_to_index(label: str) -> int:
     """Base-4 index of ``label``, qubit 0 (leftmost character) most significant."""
-    validate_label(label)
-    index = 0
-    for ch in label:
-        index = index * 4 + PAULI_ALPHABET.index(ch)
-    return index
+    return int(validate_label(label).translate(_DIGITS), 4)
 
 
 def index_to_label(index: int, n: int) -> str:
@@ -81,11 +98,7 @@ def pauli_basis(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> list[str]:
     The first label is the identity string ``"I" * n``. Qubit counts above
     ``max_qubits`` are rejected to keep dense enumeration affordable.
     """
-    if not 1 <= n <= max_qubits:
-        raise SizeLimitError(
-            f"qubit count {n} is outside the supported range [1, {max_qubits}]"
-            " (raise max_qubits to enumerate larger systems)"
-        )
+    check_qubits(n, max_qubits)
     return [index_to_label(i, n) for i in range(4**n)]
 
 
@@ -102,34 +115,6 @@ def pauli_matrix(label: str) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _basis_matrices_cached(n: int) -> np.ndarray:
-    base = np.stack([_SINGLE[ch] for ch in PAULI_ALPHABET])
-    stack = base
-    for _ in range(n - 1):
-        size = stack.shape[0]
-        dim = stack.shape[1]
-        stack = np.einsum("pij,qkl->pqikjl", stack, base).reshape(
-            size * 4, dim * 2, dim * 2
-        )
-    stack.setflags(write=False)
-    return stack
-
-
-def basis_matrices(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
-    """Read-only stack of all ``n``-qubit Pauli matrices, shape
-    ``(4**n, 2**n, 2**n)``, in the same order as :func:`pauli_basis`.
-
-    Cached per qubit count; the n = 5 stack occupies about 17 MB.
-    """
-    if not 1 <= n <= max_qubits:
-        raise SizeLimitError(
-            f"qubit count {n} is outside the supported range [1, {max_qubits}]"
-            " (raise max_qubits to enumerate larger systems)"
-        )
-    return _basis_matrices_cached(n)
-
-
 def qubit_count(dim: int) -> int:
     """Qubit count for a Hilbert space dimension, which must be a power of 2."""
     n = int(dim).bit_length() - 1
@@ -139,6 +124,26 @@ def qubit_count(dim: int) -> int:
             " subspaces project out leakage first"
         )
     return n
+
+
+def _pauli_transform(x: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Pauli expansion of ``x`` over qubit index pairs, in basis index order.
+
+    ``x`` is read as ``2 * len(pairs)`` binary indices in row-major order.
+    Each entry of ``pairs`` names the positions of the row and the column
+    index of one Pauli factor, and contracting them with ``_PAIR_MAP`` turns
+    them into that factor's letter; factors appear in the result leftmost
+    first. An operator ``m[i, j]`` on ``n`` qubits pairs ``(i_q, j_q)`` and
+    gives ``Tr(P^dag m) / 2**n`` for every string ``P``.
+    """
+    k = len(pairs)
+    order = [axis for pair in pairs for axis in pair]
+    t = np.asarray(x).reshape((2,) * (2 * k)).transpose(order).reshape(4, -1)
+    for _ in range(k):
+        # Contract the leading factor and append its Pauli index last; after k
+        # steps the factors are back in their original order.
+        t = t.reshape(4, -1).T @ _PAIR_MAP.T
+    return t.reshape(-1)
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray, norm_dim: int | None = None) -> complex:

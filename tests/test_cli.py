@@ -290,3 +290,31 @@ def test_invalid_leakage_spec_exits_2(tmp_path, capsys):
 def test_version_flag_exits_0(capsys):
     assert run_cli(["--version"]) == 0
     assert "paulinoise" in capsys.readouterr().out
+
+
+def test_seven_qubit_model_reads_back(tmp_path):
+    unitary = tmp_path / "u7.json"
+    model_path = tmp_path / "model7.json"
+    chain_path = tmp_path / "chain7.stim"
+    assert run_cli(
+        ["gen", "random-unitary", "--n", "7", "--seed", "5", "--max-qubits", "7", "-o", str(unitary)]
+    ) == 0
+    assert run_cli(
+        [
+            "extract",
+            "--unitary",
+            str(unitary),
+            "--max-qubits",
+            "7",
+            "-o",
+            str(model_path),
+            "--stim",
+            str(chain_path),
+        ]
+    ) == 0
+    model = read_model(model_path, strict=True)
+    assert model.n == 7
+    recovered = chain_to_probabilities(chain_path.read_text(), 7)
+    assert len(recovered) == len(model.probabilities) - 1
+    for label, prob in recovered.items():
+        assert abs(prob - model.probability(label)) < 1e-12

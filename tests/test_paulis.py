@@ -1,4 +1,5 @@
-"""Label bookkeeping, dense Pauli matrices, and the normalized inner product."""
+"""Label bookkeeping, dense Pauli matrices, the per-qubit transform, and the
+normalized inner product."""
 
 from __future__ import annotations
 
@@ -11,14 +12,23 @@ from paulinoise import (
     DimensionError,
     PhysicalityError,
     SizeLimitError,
-    basis_matrices,
     frobenius_inner,
     index_to_label,
     label_to_index,
     pauli_basis,
     pauli_matrix,
 )
-from paulinoise.paulis import qubit_count, require_unitary, unitarity_defect
+from paulinoise.paulis import (
+    _pauli_transform,
+    check_qubits,
+    qubit_count,
+    require_unitary,
+    unitarity_defect,
+)
+
+
+def _operator_pairs(n):
+    return [(q, n + q) for q in range(n)]
 
 
 def test_basis_order_one_qubit():
@@ -110,38 +120,43 @@ def test_hermitian_and_involutory():
             np.testing.assert_array_equal(p @ p, eye)
 
 
-def test_basis_matrices_stack_matches_single_materialization():
-    for n in (1, 2, 3):
-        stack = basis_matrices(n)
-        labels = pauli_basis(n)
-        assert stack.shape == (4**n, 2**n, 2**n)
-        for i in (0, 1, 4**n // 2, 4**n - 1):
-            np.testing.assert_array_equal(stack[i], pauli_matrix(labels[i]))
-
-
-def test_basis_matrices_read_only():
-    stack = basis_matrices(1)
-    with pytest.raises(ValueError):
-        stack[0, 0, 0] = 2.0
-
-
 def test_orthonormality_all_pairs():
     for n in (1, 2, 3):
-        stack = basis_matrices(n)
+        stack = np.stack([pauli_matrix(label) for label in pauli_basis(n)])
         gram = np.einsum("pij,qij->pq", stack.conj(), stack) / 2**n
         np.testing.assert_allclose(gram, np.eye(4**n), atol=1e-12)
 
 
+def test_transform_maps_each_pauli_string_to_its_unit_vector():
+    # Orthonormality as the kernel sees it: row p of the transformed stack is
+    # the p-th unit vector, in basis index order.
+    for n in (1, 2, 3, 4):
+        rows = [
+            _pauli_transform(pauli_matrix(label), _operator_pairs(n))
+            for label in pauli_basis(n)
+        ]
+        np.testing.assert_allclose(np.array(rows), np.eye(4**n), atol=1e-15)
+
+
+def test_check_qubits():
+    assert check_qubits(1, 1) == 1
+    assert check_qubits(6, 6) == 6
+    for n, cap in ((0, 6), (7, 6), (-1, 3)):
+        with pytest.raises(SizeLimitError):
+            check_qubits(n, cap)
+
+
 def test_completeness_reconstructs_arbitrary_matrices():
     rng = np.random.default_rng(11)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         dim = 2**n
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rebuilt = np.zeros_like(m)
-        for label in pauli_basis(n):
-            p = pauli_matrix(label)
-            rebuilt = rebuilt + frobenius_inner(p, m) * p
-        np.testing.assert_allclose(rebuilt, m, atol=1e-12)
+        labels = pauli_basis(n)
+        via_traces = [frobenius_inner(pauli_matrix(label), m) for label in labels]
+        via_transform = _pauli_transform(m, _operator_pairs(n))
+        for amps in (via_traces, via_transform):
+            rebuilt = sum(a * pauli_matrix(label) for a, label in zip(amps, labels))
+            np.testing.assert_allclose(rebuilt, m, atol=1e-12)
 
 
 def test_frobenius_inner_examples():

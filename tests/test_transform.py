@@ -1,0 +1,84 @@
+"""The per-qubit Pauli transform against the retained slow oracles.
+
+``pauli_coefficients`` and ``coefficient_matrix`` both run on the tensorized
+transform in ``paulis``. These tests hold them to direct traces against dense
+Pauli matrices (``frobenius_inner``) and to the independent einsum in
+``pauli_pair_diagonal``, on arbitrary complex inputs that are neither
+unitary nor physical.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paulinoise import (
+    coefficient_matrix,
+    frobenius_inner,
+    pauli_basis,
+    pauli_coefficients,
+    pauli_matrix,
+    pauli_pair_diagonal,
+    random_unitary,
+)
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _complex_matrix(dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    seed=SEEDS,
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    norm_dim=st.sampled_from([None, 1, 3, 64]),
+)
+def test_pauli_coefficients_match_traces(n, seed, scale, norm_dim):
+    m = _complex_matrix(2**n, seed, scale)
+    coeffs = pauli_coefficients(m, norm_dim=norm_dim)
+    assert list(coeffs) == pauli_basis(n)
+    expected = [frobenius_inner(pauli_matrix(label), m, norm_dim=norm_dim) for label in coeffs]
+    # Each amplitude is a sum of 2**n entries of size ~scale over norm_dim.
+    atol = 1e-14 * scale * max(1.0, 2**n / (norm_dim or 2**n))
+    np.testing.assert_allclose(list(coeffs.values()), expected, rtol=0, atol=atol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=2), seed=SEEDS)
+def test_coefficient_matrix_matches_traces_for_every_pair(n, seed):
+    s = _complex_matrix(4**n, seed)
+    w = coefficient_matrix(s)
+    labels = pauli_basis(n)
+    expected = np.array(
+        [
+            [frobenius_inner(np.kron(pauli_matrix(p), pauli_matrix(q).conj()), s) for q in labels]
+            for p in labels
+        ]
+    )
+    np.testing.assert_allclose(w, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_coefficient_matrix_diagonal_matches_pair_diagonal(n):
+    s = _complex_matrix(4**n, 40 + n)
+    np.testing.assert_allclose(
+        np.diagonal(coefficient_matrix(s)), pauli_pair_diagonal(s), rtol=0, atol=1e-14
+    )
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=SEEDS)
+def test_six_qubit_amplitudes_match_traces_on_a_label_sample(seed):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(6, int(rng.integers(2**31)))
+    coeffs = pauli_coefficients(u)
+    labels = pauli_basis(6)
+    for index in rng.choice(len(labels), size=64, replace=False):
+        label = labels[index]
+        assert abs(coeffs[label] - frobenius_inner(pauli_matrix(label), u)) <= 1e-14
