@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .channels import channel_distance, lift_unitary
+from .channels import DEFAULT_SUPEROP_MAX_QUBITS, channel_distance, lift_unitary
 from .errors import (
     DimensionError,
     ModelFormatError,
@@ -36,9 +36,13 @@ from .extraction import (
     ExtractionResult,
     LeakageSpec,
     extract_from_channel,
+    extract_from_ensemble,
     extract_from_unitary,
 )
-from .generators import (
+# average_channel is unused here but stays importable from this module,
+# because the traced benchmark run (bench/tracing.py) rebinds
+# cli.average_channel.
+from .generators import (  # noqa: F401
     average_channel,
     overrotated_cz,
     pauli_channel,
@@ -261,6 +265,15 @@ def _emit_extraction(
     provenance: dict[str, Any],
 ) -> int:
     model = result.model
+    if args.full_coeffs:
+        # The coefficient file holds 16**n pairs, as a superoperator does: at
+        # n = 5 it is 72 MiB of JSON and takes ~0.5 GiB to write.
+        cap = DEFAULT_SUPEROP_MAX_QUBITS if args.max_qubits is None else args.max_qubits
+        if model.n > cap:
+            raise SizeLimitError(
+                f"--full-coeffs writes 16**n coefficients; {model.n} qubits exceed "
+                f"its cap of {cap} (raise it with --max-qubits)"
+            )
     strict = not args.allow_nonphysical
     text = write_model(
         args.output, model, floor=args.floor, provenance=provenance, strict=strict
@@ -328,12 +341,11 @@ def _cmd_extract_channel(args: argparse.Namespace) -> int:
 
 def _cmd_avg_extract(args: argparse.Namespace) -> int:
     members = read_ensemble_file(args.weights)
-    mixed = average_channel(members, unitarity_tol=args.tol)
     target = _read_operator(args.target).matrix if args.target else None
     full_dim = members[0].unitary.shape[0]
     leakage = _parse_leakage(args.leakage, full_dim)
-    result = extract_from_channel(
-        mixed,
+    result = extract_from_ensemble(
+        members,
         target,
         leakage=leakage,
         physicality_tol=args.tol,

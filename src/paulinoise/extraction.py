@@ -3,12 +3,14 @@
 Given an implemented gate (a unitary matrix, a superoperator, or a weighted
 unitary ensemble) and its intended target, the workflow is:
 
-1. Form the residual error: ``U_err = U @ U0^dag`` for unitaries, or
-   ``S_err = S @ lift_unitary(U0^dag)`` for channels.
+1. Form the residual error: ``U_err = U @ U0^dag`` for unitaries (one per
+   member for an ensemble), or ``S_err = S @ lift_unitary(U0^dag)`` for
+   channels.
 2. Expand the error in the Pauli-string basis. For a unitary the amplitudes
    ``u_P = <P, U_err>`` fully determine the channel coefficients through
-   ``w_PQ = u_P u_Q^*``; for a superoperator the coefficients ``w_PQ`` are
-   read out directly.
+   ``w_PQ = u_P u_Q^*``, and an ensemble with weights ``p_k`` has
+   ``w = sum_k p_k a_k a_k^dag`` over its members' amplitudes ``a_k``; for a
+   superoperator the coefficients ``w_PQ`` are read out directly.
 3. The diagonal weights ``w_PP``, clamped to probabilities, form the Pauli
    channel with the smallest Frobenius distance to the error channel. The
    off-diagonal weight that no Pauli channel can reproduce is reported as the
@@ -26,7 +28,7 @@ that is lost to (and from) the leaked levels is reported separately as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .channels import (
     trace_preservation_defect,
 )
 from .errors import DimensionError, PhysicalityError
+from .generators import EnsembleMember, _ensemble_arrays
 from .paulis import (
     DEFAULT_MAX_QUBITS,
     DEFAULT_UNITARITY_TOL,
@@ -165,25 +168,33 @@ class LeakageSpec:
 class ExtractionResult:
     """A model plus the expansion data it was derived from.
 
-    ``coefficients`` holds the Pauli amplitudes of the error unitary (unitary
-    route only). ``weights`` holds the full coefficient matrix when it was
-    materialized (channel route); for the unitary route it is reconstructed
-    on demand by :meth:`weight_matrix`.
+    ``weights`` holds the full coefficient matrix when it was materialized
+    (channel route). The unitary and ensemble routes record instead the
+    error amplitudes of each member (one row per member, basis index order)
+    and the member weights ``mixture``; :meth:`weight_matrix` rebuilds the
+    coefficient matrix ``sum_k p_k a_k a_k^dag`` from them on demand.
     """
 
     model: PauliNoiseModel
-    coefficients: dict[str, complex] | None = None
     weights: np.ndarray | None = None
+    amplitudes: np.ndarray | None = None
+    mixture: np.ndarray | None = None
+
+    @property
+    def coefficients(self) -> dict[str, complex] | None:
+        """Pauli amplitudes of the error unitary by label, when there is one."""
+        if self.amplitudes is None or self.amplitudes.shape[0] != 1:
+            return None
+        n = self.model.n
+        labels = pauli_basis(n, max_qubits=max(n, DEFAULT_MAX_QUBITS))
+        return dict(zip(labels, self.amplitudes[0].tolist()))
 
     def weight_matrix(self) -> np.ndarray:
         if self.weights is not None:
             return self.weights
-        if self.coefficients is None:
+        if self.amplitudes is None:
             raise ValueError("no expansion data recorded for this result")
-        n = self.model.n
-        labels = pauli_basis(n, max_qubits=max(n, DEFAULT_MAX_QUBITS))
-        vec = np.array([self.coefficients[lab] for lab in labels], dtype=complex)
-        return np.outer(vec, vec.conj())
+        return (self.amplitudes.T * self.mixture) @ self.amplitudes.conj()
 
 
 def error_unitary(
@@ -407,6 +418,31 @@ def _assemble_model(
     )
 
 
+def _result_from_amplitudes(
+    amplitudes: np.ndarray,
+    mixture: np.ndarray,
+    leakage_weight: float,
+    clamp_tol: float,
+) -> ExtractionResult:
+    """Model of the channel ``w = sum_k p_k a_k a_k^dag`` from the rows ``a_k``
+    of ``amplitudes`` and the weights ``p_k`` in ``mixture``.
+
+    The diagonal is ``p @ |A|**2``. The total weight ``sum_PQ |w_PQ|^2`` is
+    ``sum_kl p_k p_l |a_k^dag a_l|^2``, a ``K x K`` Gram matrix, so the
+    coherent residual needs neither ``w`` nor a superoperator. The Gram
+    diagonal is taken from ``sum_P |a_kP|^2``, so a single unitary
+    (``K = 1``) gets exactly the closed form ``total**2 - sum_P w_PP**2``.
+    """
+    power = np.abs(amplitudes) ** 2
+    diag = mixture @ power
+    gram = np.abs(amplitudes.conj() @ amplitudes.T) ** 2
+    np.fill_diagonal(gram, power.sum(axis=1) ** 2)
+    # Guard against cancellation returning a tiny negative zero.
+    residual_sq = max(float(mixture @ gram @ mixture) - float(np.sum(diag**2)), 0.0)
+    model = _assemble_model(diag.astype(complex), leakage_weight, residual_sq, clamp_tol)
+    return ExtractionResult(model=model, amplitudes=amplitudes, mixture=mixture)
+
+
 def nearest_pauli_channel(
     weights: np.ndarray | Mapping[str, complex],
     leakage_weight: float = 0.0,
@@ -446,14 +482,21 @@ def nearest_pauli_channel(
     raise DimensionError(f"weights must be a matrix, vector, or mapping, got ndim={arr.ndim}")
 
 
-def leakage_project(u_full: np.ndarray, spec: LeakageSpec) -> tuple[np.ndarray, float]:
+def leakage_project(
+    u_full: np.ndarray,
+    spec: LeakageSpec,
+    *,
+    tol: float = DEFAULT_CLAMP_TOL,
+) -> tuple[np.ndarray, float]:
     """Restrict a unitary on the full physical space to the computational block.
 
     Returns the (generally non-unitary) block and the leakage weight
     ``1 - Tr(B^dag B) / comp_dim``, the probability that the error moves
     amplitude out of the computational subspace. The block's Pauli amplitudes
     (taken with ``norm_dim = comp_dim``) then satisfy
-    ``sum_P |u_P|^2 = 1 - leakage_weight``.
+    ``sum_P |u_P|^2 = 1 - leakage_weight``. A leakage weight outside
+    ``[-tol, 1 + tol]`` is an error; within that range it is clipped to
+    ``[0, 1]``.
     """
     u = np.asarray(u_full, dtype=complex)
     if u.shape != (spec.full_dim, spec.full_dim):
@@ -465,10 +508,10 @@ def leakage_project(u_full: np.ndarray, spec: LeakageSpec) -> tuple[np.ndarray, 
     block = u[np.ix_(idx, idx)]
     retained = float(np.sum(np.abs(block) ** 2) / spec.comp_dim)
     leak = 1.0 - retained
-    if not -1e-9 <= leak <= 1.0 + 1e-9:
+    if not -tol <= leak <= 1.0 + tol:
         raise PhysicalityError(
-            f"leakage weight {leak!r} is outside [0, 1]; the input is not a unitary "
-            "on the full space"
+            f"leakage weight {leak!r} is outside [0, 1] by more than {tol:g}; the "
+            "input is not a unitary on the full space"
         )
     return block, float(np.clip(leak, 0.0, 1.0))
 
@@ -477,13 +520,15 @@ def leakage_project_channel(
     s_full: np.ndarray,
     spec: LeakageSpec,
     *,
-    imag_tol: float = DEFAULT_CLAMP_TOL,
+    tol: float = DEFAULT_CLAMP_TOL,
 ) -> tuple[np.ndarray, float]:
     """Channel analogue of :func:`leakage_project`.
 
     Keeps the superoperator rows and columns whose bra and ket indices both
     lie in the computational subspace, and reports the Pauli weight lost in
-    the restriction as the leakage weight ``1 - sum_P w_PP(block)``.
+    the restriction as the leakage weight ``1 - sum_P w_PP(block)``. The
+    retained weight's imaginary part must be within ``tol`` of 0 and the
+    leakage weight within ``tol`` of ``[0, 1]``.
     """
     s = np.asarray(s_full, dtype=complex)
     if s.shape != (spec.full_dim**2, spec.full_dim**2):
@@ -497,16 +542,16 @@ def leakage_project_channel(
     # sum_P w_PP = (1/D) sum_{a,c} block[(c,c),(a,a)], a trace identity of the
     # Pauli-pair basis; no per-string loop needed.
     retained = complex(np.einsum("ccaa->", block.reshape(d, d, d, d))) / d
-    if abs(retained.imag) > imag_tol:
+    if abs(retained.imag) > tol:
         raise PhysicalityError(
             f"retained weight has imaginary part {retained.imag:.3e}; the channel "
             "is not hermiticity preserving"
         )
     leak = 1.0 - retained.real
-    if not -1e-9 <= leak <= 1.0 + 1e-9:
+    if not -tol <= leak <= 1.0 + tol:
         raise PhysicalityError(
-            f"leakage weight {leak!r} is outside [0, 1]; the input is not a "
-            "trace-preserving channel on the full space"
+            f"leakage weight {leak!r} is outside [0, 1] by more than {tol:g}; the "
+            "input is not a trace-preserving channel on the full space"
         )
     return block, float(np.clip(leak, 0.0, 1.0))
 
@@ -528,8 +573,9 @@ def extract_from_unitary(
     space and the error is projected onto the computational block before
     expansion. The coefficient matrix of a lifted unitary is the outer
     product of its amplitudes, so the model and its diagnostics are computed
-    from the amplitudes alone; the full matrix is available from the result
-    on demand.
+    from the amplitudes alone (the one-member case of
+    :func:`extract_from_ensemble`); the full matrix is available from the
+    result on demand.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -541,16 +587,65 @@ def extract_from_unitary(
     )
     leak = 0.0
     if leakage is not None:
-        err, leak = leakage_project(err, leakage)
+        err, leak = leakage_project(err, leakage, tol=clamp_tol)
     n = check_qubits(qubit_count(err.shape[0]), max_qubits)
-    amp = _amplitudes(err, n)
-    diag = np.abs(amp) ** 2
-    total = float(diag.sum())
-    # w = outer(amp, amp*): off-diagonal weight in closed form.
-    residual_sq = max(total**2 - float(np.sum(diag**2)), 0.0)
-    model = _assemble_model(diag.astype(complex), leak, residual_sq, clamp_tol)
-    coeffs = dict(zip(pauli_basis(n, max_qubits=max_qubits), amp.tolist()))
-    return ExtractionResult(model=model, coefficients=coeffs, weights=None)
+    return _result_from_amplitudes(_amplitudes(err, n)[None, :], np.ones(1), leak, clamp_tol)
+
+
+def extract_from_ensemble(
+    members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
+    target: np.ndarray | None = None,
+    *,
+    leakage: LeakageSpec | None = None,
+    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
+    physicality_tol: float = DEFAULT_PHYSICALITY_TOL,
+    clamp_tol: float = DEFAULT_CLAMP_TOL,
+    allow_nonphysical: bool = False,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> ExtractionResult:
+    """Extract the closest Pauli channel to the error of a weighted unitary
+    ensemble, without forming its superoperator.
+
+    Gives the model of ``extract_from_channel(average_channel(members),
+    target)``: each member's error ``E_k = U_k U0^dag`` is projected onto the
+    computational block when ``leakage`` is given (the leakage weight is
+    ``sum_k p_k leak_k``) and expanded into amplitudes ``a_k``, and the
+    mixture's coefficient matrix ``sum_k p_k a_k a_k^dag`` is never built.
+    Time is ``O(K n 4**n + K**2 4**n)`` and memory ``O(K 4**n)``, so the
+    unitary cap applies. The members are validated as by
+    :func:`average_channel`, and trace preservation of the mixture is
+    enforced within ``physicality_tol`` unless ``allow_nonphysical`` is set.
+    """
+    weights, unitaries = _ensemble_arrays(members, unitarity_tol=unitarity_tol)
+    errs = unitaries
+    if target is not None:
+        target = np.asarray(target, dtype=complex)
+        if target.shape != unitaries.shape[1:]:
+            raise DimensionError(
+                f"target shape {target.shape} does not match the ensemble "
+                f"dimension {unitaries.shape[1]}"
+            )
+        require_unitary(target, unitarity_tol, name="target")
+        errs = unitaries @ target.conj().T
+    if not allow_nonphysical:
+        # trace_preservation_defect of sum_k p_k kron(E_k, E_k^*), without the
+        # superoperator. A real-weighted mixture of conjugations preserves
+        # hermiticity exactly, so that check has nothing to find here.
+        kept = np.tensordot(weights, errs.conj().transpose(0, 2, 1) @ errs, axes=1)
+        trace_dev = float(np.max(np.abs(kept - np.eye(kept.shape[0]))))
+        if trace_dev > physicality_tol:
+            raise PhysicalityError(
+                f"channel is not trace preserving (defect {trace_dev:.3e}); pass "
+                "allow_nonphysical to extract diagnostics anyway"
+            )
+    leak = 0.0
+    if leakage is not None:
+        blocks, leaks = zip(*(leakage_project(e, leakage, tol=clamp_tol) for e in errs))
+        errs = np.stack(blocks)
+        leak = float(weights @ np.array(leaks))
+    n = check_qubits(qubit_count(errs.shape[1]), max_qubits)
+    amplitudes = np.stack([_amplitudes(e, n) for e in errs])
+    return _result_from_amplitudes(amplitudes, weights, leak, clamp_tol)
 
 
 def extract_from_channel(
@@ -570,7 +665,9 @@ def extract_from_channel(
     inverted and composed into ``s`` first. Trace and hermiticity
     preservation of the error channel are enforced within
     ``physicality_tol`` unless ``allow_nonphysical`` is set; those checks
-    run on the full space, before any leakage projection.
+    run on the full space, before any leakage projection. For a weighted
+    unitary ensemble, :func:`extract_from_ensemble` gives the same model
+    without the superoperator.
     """
     s = np.asarray(s, dtype=complex)
     err = s if target is None else error_channel(s, target, unitarity_tol=unitarity_tol)
@@ -590,7 +687,7 @@ def extract_from_channel(
             )
     leak = 0.0
     if leakage is not None:
-        err, leak = leakage_project_channel(err, leakage, imag_tol=clamp_tol)
+        err, leak = leakage_project_channel(err, leakage, tol=clamp_tol)
     w = coefficient_matrix(err, max_qubits=max_qubits)
     model = nearest_pauli_channel(w, leak, clamp_tol=clamp_tol)
-    return ExtractionResult(model=model, coefficients=None, weights=w)
+    return ExtractionResult(model=model, weights=w)

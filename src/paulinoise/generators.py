@@ -112,6 +112,33 @@ def pauli_channel(
     return s
 
 
+def _ensemble_arrays(
+    members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
+    *,
+    simplex_tol: float = DEFAULT_SIMPLEX_TOL,
+    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``(K,)`` and unitaries ``(K, D, D)`` of a validated ensemble.
+
+    The ensemble must be non-empty, its members must act on one space and be
+    unitary within ``unitarity_tol``, and its weights must sum to 1 within
+    ``simplex_tol``.
+    """
+    members = list(members)
+    if not members:
+        raise ValueError("ensemble has no members")
+    dims = {m.unitary.shape[0] for m in members}
+    if len(dims) != 1:
+        raise DimensionError(f"ensemble members act on different dimensions: {sorted(dims)}")
+    total = float(sum(m.weight for m in members))
+    if abs(total - 1.0) > simplex_tol:
+        raise ValueError(f"ensemble weights sum to {total!r}, not 1 within {simplex_tol:g}")
+    unitaries = np.stack(
+        [require_unitary(m.unitary, unitarity_tol, name="ensemble member") for m in members]
+    )
+    return np.array([m.weight for m in members], dtype=float), unitaries
+
+
 def average_channel(
     members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
     *,
@@ -125,18 +152,11 @@ def average_channel(
     ``unitarity_tol``. The result is trace preserving by construction but is
     generally not a unitary lift.
     """
-    members = list(members)
-    if not members:
-        raise ValueError("ensemble has no members")
-    dims = {m.unitary.shape[0] for m in members}
-    if len(dims) != 1:
-        raise DimensionError(f"ensemble members act on different dimensions: {sorted(dims)}")
-    total = float(sum(m.weight for m in members))
-    if abs(total - 1.0) > simplex_tol:
-        raise ValueError(f"ensemble weights sum to {total!r}, not 1 within {simplex_tol:g}")
-    dim = dims.pop()
+    weights, unitaries = _ensemble_arrays(
+        members, simplex_tol=simplex_tol, unitarity_tol=unitarity_tol
+    )
+    dim = unitaries.shape[1]
     s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for member in members:
-        u = require_unitary(member.unitary, unitarity_tol, name="ensemble member")
-        s += member.weight * np.kron(u, u.conj())
+    for weight, u in zip(weights, unitaries):
+        s += weight * np.kron(u, u.conj())
     return s

@@ -36,6 +36,7 @@ document written by this module re-validates on read.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -61,6 +62,9 @@ KIND_SUPEROPERATOR = "superoperator"
 KIND_ENSEMBLE = "unitary_ensemble"
 KIND_MODEL = "pauli_noise_model"
 KIND_COEFFICIENTS = "coefficient_matrix"
+
+#: JSON numbers parse to exactly these types; ``bool`` is not one of them.
+_NUMBER_TYPES = (int, float)
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,19 @@ def _complex_pairs(matrix: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _finite_number(value: Any) -> float | None:
+    """``value`` as a float if it is a JSON number (not a bool) whose double is
+    finite, else ``None``. Integers too large for a double count as
+    non-finite."""
+    if type(value) not in _NUMBER_TYPES:
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _pairs_to_matrix(
     pairs: Any, rows: int, path: str | Path | None
 ) -> np.ndarray:
@@ -125,22 +142,35 @@ def _pairs_to_matrix(
         path,
         f"'data' has {len(pairs)} entries, expected {rows * rows}",
     )
-    out = np.empty(rows * rows, dtype=complex)
-    for i, pair in enumerate(pairs):
-        _require(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair),
-            path,
-            f"'data[{i}]' is not a [re, im] number pair",
-        )
-        _require(
-            all(math.isfinite(float(x)) for x in pair),
-            path,
-            f"'data[{i}]' contains a non-finite value",
-        )
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    return out.reshape(rows, rows)
+    # One pass over the entry and item types, one conversion and one
+    # finiteness test; the per-entry loop below runs only to name the first
+    # bad entry.
+    values = None
+    if (
+        set(map(type, pairs)) == {list}
+        and set(map(len, pairs)) == {2}
+        and set(map(type, itertools.chain.from_iterable(pairs))) <= set(_NUMBER_TYPES)
+    ):
+        try:
+            values = np.array(pairs, dtype=float)
+        except OverflowError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        for i, pair in enumerate(pairs):
+            _require(
+                type(pair) is list
+                and len(pair) == 2
+                and all(type(x) in _NUMBER_TYPES for x in pair),
+                path,
+                f"'data[{i}]' is not a [re, im] number pair",
+            )
+            _require(
+                all(_finite_number(x) is not None for x in pair),
+                path,
+                f"'data[{i}]' contains a non-finite value",
+            )
+    # Each row [re, im] of the C-ordered float array is one complex double.
+    return values.view(complex).reshape(rows, rows)
 
 
 def _check_meta(meta: Any, path: str | Path | None) -> dict[str, str]:
@@ -273,17 +303,14 @@ def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
     members = []
     for i, raw in enumerate(raw_members):
         _require(isinstance(raw, dict), path, f"'members[{i}]' must be an object")
-        weight = raw.get("weight")
+        weight = _finite_number(raw.get("weight"))
         _require(
-            isinstance(weight, (int, float))
-            and not isinstance(weight, bool)
-            and math.isfinite(float(weight))
-            and float(weight) >= 0.0,
+            weight is not None and weight >= 0.0,
             path,
-            f"'members[{i}].weight' must be a nonnegative number, got {weight!r}",
+            f"'members[{i}].weight' must be a nonnegative number, got {raw.get('weight')!r}",
         )
         matrix = _pairs_to_matrix(raw.get("data"), dim, path)
-        members.append(EnsembleMember(weight=float(weight), unitary=matrix))
+        members.append(EnsembleMember(weight=weight, unitary=matrix))
     return members
 
 
@@ -414,33 +441,26 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
             path,
             f"'entries[{i}].label' {label!r} appears more than once",
         )
-        prob = raw.get("probability")
+        prob = _finite_number(raw.get("probability"))
         _require(
-            isinstance(prob, (int, float))
-            and not isinstance(prob, bool)
-            and math.isfinite(float(prob))
-            and 0.0 <= float(prob) <= 1.0,
+            prob is not None and 0.0 <= prob <= 1.0,
             path,
-            f"'entries[{i}].probability' must be a number in [0, 1], got {prob!r}",
+            f"'entries[{i}].probability' must be a number in [0, 1], "
+            f"got {raw.get('probability')!r}",
         )
-        probabilities[label] = float(prob)
-    leakage = doc.get("leakage_weight", 0.0)
+        probabilities[label] = prob
+    leakage = _finite_number(doc.get("leakage_weight", 0.0))
     _require(
-        isinstance(leakage, (int, float))
-        and not isinstance(leakage, bool)
-        and math.isfinite(float(leakage))
-        and 0.0 <= float(leakage) <= 1.0,
+        leakage is not None and 0.0 <= leakage <= 1.0,
         path,
-        f"'leakage_weight' must be a number in [0, 1], got {leakage!r}",
+        f"'leakage_weight' must be a number in [0, 1], got {doc.get('leakage_weight')!r}",
     )
-    truncated = doc.get("truncated_weight", 0.0)
+    truncated = _finite_number(doc.get("truncated_weight", 0.0))
     _require(
-        isinstance(truncated, (int, float))
-        and not isinstance(truncated, bool)
-        and math.isfinite(float(truncated))
-        and float(truncated) >= 0.0,
+        truncated is not None and truncated >= 0.0,
         path,
-        f"'truncated_weight' must be a nonnegative number, got {truncated!r}",
+        "'truncated_weight' must be a nonnegative number, "
+        f"got {doc.get('truncated_weight')!r}",
     )
     diag_raw = doc.get("diagnostics")
     _require(isinstance(diag_raw, dict), path, "'diagnostics' must be an object")
@@ -449,33 +469,32 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
         value = diag_raw.get(key)
         if value is None:
             return None
+        number = _finite_number(value)
         _require(
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(float(value)),
+            number is not None,
             path,
             f"'diagnostics.{key}' must be a finite number or null, got {value!r}",
         )
-        return float(value)
+        return number
 
     identity_prob = _optional_float("identity_prob")
     _require(identity_prob is not None, path, "'diagnostics.identity_prob' is required")
     if strict:
-        budget = sum(probabilities.values()) + float(truncated) + float(leakage)
+        budget = sum(probabilities.values()) + truncated + leakage
         _require(
             abs(budget - 1.0) <= 1e-9,
             path,
             f"probabilities, truncated weight, and leakage sum to {budget!r}, not 1",
         )
     diagnostics = ModelDiagnostics(
-        identity_prob=float(identity_prob),
+        identity_prob=identity_prob,
         coherent_residual_sq=_optional_float("coherent_residual_sq"),
         distance_to_source=_optional_float("distance_to_source"),
     )
     return PauliNoiseModel(
         n=n,
         probabilities=probabilities,
-        leakage_weight=float(leakage),
+        leakage_weight=leakage,
         diagnostics=diagnostics,
     )
 

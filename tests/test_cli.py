@@ -7,11 +7,16 @@ import json
 import numpy as np
 import pytest
 
+import paulinoise.cli
+import paulinoise.extraction
 from paulinoise import (
+    average_channel,
     chain_to_probabilities,
     coefficient_matrix,
     lift_unitary,
+    random_unitary,
     read_coefficient_file,
+    read_ensemble_file,
     read_model,
     write_ensemble_file,
     write_matrix_file,
@@ -318,3 +323,133 @@ def test_seven_qubit_model_reads_back(tmp_path):
     assert len(recovered) == len(model.probabilities) - 1
     for label, prob in recovered.items():
         assert abs(prob - model.probability(label)) < 1e-12
+
+
+HUGE = "9" * 401
+
+
+def test_huge_integer_in_operator_data_exits_2(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    text = write_matrix_file(path, np.eye(2), KIND_OPERATOR)
+    path.write_text(text.replace("1.0", HUGE, 1))
+    assert run_cli(["extract", "--unitary", str(path)]) == 2
+    assert "data[0]" in capsys.readouterr().err
+
+
+def test_huge_integer_ensemble_weight_exits_2(tmp_path, capsys):
+    path = tmp_path / "ensemble.json"
+    write_ensemble_file(path, [EnsembleMember(1.0, np.eye(2))])
+    path.write_text(path.read_text().replace('"weight": 1.0', f'"weight": {HUGE}'))
+    assert run_cli(["avg-extract", "--weights", str(path)]) == 2
+    assert "weight" in capsys.readouterr().err
+
+
+def _write_ensemble(path, n, k, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(k))
+    weights = weights / weights.sum()
+    write_ensemble_file(
+        path,
+        [
+            EnsembleMember(float(w), random_unitary(n, int(rng.integers(1, 2**31))))
+            for w in weights
+        ],
+    )
+    return path
+
+
+def test_avg_extract_six_qubits_within_default_caps(tmp_path, capsys):
+    ens = _write_ensemble(tmp_path / "ensemble.json", 6, 2, 61)
+    model_path = tmp_path / "model.json"
+    # The full coefficient matrix keeps the superoperator cap, and nothing
+    # is written when it is exceeded.
+    argv = ["avg-extract", "--weights", str(ens), "-o", str(model_path)]
+    assert run_cli(argv + ["--full-coeffs", str(tmp_path / "w.json")]) == 2
+    assert "--full-coeffs" in capsys.readouterr().err
+    assert not model_path.exists()
+    assert run_cli(argv) == 0
+    model = read_model(model_path, strict=True)
+    assert model.n == 6
+    capsys.readouterr()
+
+
+def test_avg_extract_rejects_bad_ensembles(tmp_path, capsys):
+    bad_member = tmp_path / "nonunitary.json"
+    write_ensemble_file(
+        bad_member,
+        [EnsembleMember(0.5, np.eye(2)), EnsembleMember(0.5, np.eye(2) * 1.01)],
+    )
+    assert run_cli(["avg-extract", "--weights", str(bad_member)]) == 3
+    bad_sum = tmp_path / "sum.json"
+    write_ensemble_file(
+        bad_sum,
+        [EnsembleMember(0.51, np.eye(2)), EnsembleMember(0.5, z_rotation(0.1))],
+    )
+    assert run_cli(["avg-extract", "--weights", str(bad_sum)]) == 2
+    assert "sum" in capsys.readouterr().err
+
+
+def test_avg_extract_builds_no_superoperator(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("avg-extract must not build a superoperator")
+
+    monkeypatch.setattr(paulinoise.cli, "average_channel", forbidden)
+    monkeypatch.setattr(paulinoise.cli, "extract_from_channel", forbidden)
+    monkeypatch.setattr(paulinoise.extraction, "coefficient_matrix", forbidden)
+    ens = _write_ensemble(tmp_path / "ensemble.json", 2, 3, 7)
+    argv = ["avg-extract", "--weights", str(ens), "--full-coeffs", str(tmp_path / "w.json")]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+
+
+def test_avg_extract_full_coeffs_match_extract_channel(tmp_path, capsys):
+    ens = _write_ensemble(tmp_path / "ensemble.json", 2, 3, 8)
+    target = tmp_path / "target.json"
+    write_matrix_file(target, random_unitary(2, 9), KIND_OPERATOR)
+    chan = tmp_path / "chan.json"
+    write_matrix_file(chan, average_channel(read_ensemble_file(ens)), KIND_SUPEROPERATOR)
+    w_avg = tmp_path / "w_avg.json"
+    w_chan = tmp_path / "w_chan.json"
+    common = ["--target", str(target), "-o", str(tmp_path / "m.json")]
+    assert run_cli(["avg-extract", "--weights", str(ens), "--full-coeffs", str(w_avg), *common]) == 0
+    assert run_cli(["extract-channel", "--channel", str(chan), "--full-coeffs", str(w_chan), *common]) == 0
+    np.testing.assert_allclose(
+        read_coefficient_file(w_avg), read_coefficient_file(w_chan), rtol=0, atol=1e-15
+    )
+    capsys.readouterr()
+
+
+def test_avg_extract_leakage_with_allow_nonphysical(tmp_path, capsys):
+    ens = tmp_path / "ensemble.json"
+    write_ensemble_file(
+        ens, [EnsembleMember(0.5, SWAP_12), EnsembleMember(0.5, np.eye(3, dtype=complex))]
+    )
+    model_path = tmp_path / "model.json"
+    argv = ["avg-extract", "--weights", str(ens), "--leakage", "0,1", "-o", str(model_path)]
+    assert run_cli(argv + ["--allow-nonphysical"]) == 0
+    model = read_model(model_path, strict=False)
+    assert model.leakage_weight == 0.25
+    assert abs(model.probability("I") - 0.625) < 1e-12
+    assert abs(model.probability("Z") - 0.125) < 1e-12
+    capsys.readouterr()
+
+
+def test_leakage_range_follows_tol(tmp_path, capsys):
+    # Blocks that keep slightly more than all of their weight have leakage
+    # just below 0 (-2e-7 here): outside [0, 1] by more than the default
+    # tolerance, inside it under --tol 1e-6.
+    scaled = tmp_path / "scaled.json"
+    write_matrix_file(scaled, np.eye(3, dtype=complex) * (1 + 1e-7), KIND_OPERATOR)
+    chan = tmp_path / "chan.json"
+    write_matrix_file(chan, np.eye(9, dtype=complex) * (1 + 2e-7), KIND_SUPEROPERATOR)
+    model_path = tmp_path / "m.json"
+    for argv in (
+        ["extract", "--unitary", str(scaled)],
+        ["extract-channel", "--channel", str(chan)],
+    ):
+        argv = argv + ["--leakage", "0,1", "--allow-nonphysical", "-o", str(model_path)]
+        assert run_cli(argv) == 3
+        assert "leakage weight" in capsys.readouterr().err
+        assert run_cli(argv + ["--tol", "1e-6"]) == 0
+        assert read_model(model_path, strict=False).leakage_weight == 0.0
+    capsys.readouterr()

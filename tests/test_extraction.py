@@ -343,6 +343,19 @@ def test_leakage_extraction_from_swap():
     model.validate()
 
 
+def test_leakage_projections_follow_tol():
+    spec = LeakageSpec(3, (0, 1))
+    scaled = np.eye(3, dtype=complex) * (1 + 1e-7)
+    for project, full in (
+        (leakage_project, scaled),
+        (leakage_project_channel, np.kron(scaled, scaled.conj())),
+    ):
+        with pytest.raises(PhysicalityError, match="leakage weight"):
+            project(full, spec)
+        _, leak = project(full, spec, tol=1e-6)
+        assert leak == 0.0
+
+
 def test_leakage_project_shape_guard():
     with pytest.raises(DimensionError):
         leakage_project(np.eye(4), LeakageSpec(3, (0, 1)))

@@ -387,3 +387,105 @@ def test_chain_parse_errors():
         chain_to_probabilities(
             "CORRELATED_ERROR(0.1) X0\nELSE_CORRELATED_ERROR(0.1) X0\n", 1
         )
+
+
+def _reference_pairs(pairs: list) -> np.ndarray:
+    """Per-element reference for the matrix parser: one complex per pair."""
+    out = np.empty(len(pairs), dtype=complex)
+    for i, (re, im) in enumerate(pairs):
+        out[i] = complex(float(re), float(im))
+    return out
+
+
+def test_matrix_parser_is_bit_identical_to_a_per_element_loop(tmp_path):
+    rng = np.random.default_rng(17)
+    u = random_unitary(2, 4)
+    u[0, 0] = complex(-0.0, 0.0)
+    u[1, 1] = complex(0.0, -0.0)
+    cases = [
+        (KIND_OPERATOR, u),
+        (KIND_SUPEROPERATOR, lift_unitary(random_unitary(2, 5))),
+        (KIND_OPERATOR, rng.standard_normal((4, 4)) * 1e300 + 1j * rng.standard_normal((4, 4)) * 1e-300),
+    ]
+    for i, (kind, matrix) in enumerate(cases):
+        path = tmp_path / f"m{i}.json"
+        write_matrix_file(path, matrix, kind)
+        parsed = read_matrix_file(path).matrix
+        expected = _reference_pairs(json.loads(path.read_text())["data"])
+        assert parsed.tobytes() == expected.reshape(parsed.shape).tobytes()
+    # Integer entries, as a hand-written file may carry them.
+    path = tmp_path / "ints.json"
+    data = [[1, 0], [0, -3], [2**53 + 1, 7], [-(10**20), 1]]
+    path.write_text(json.dumps(
+        {"format_version": 1, "kind": "operator", "dim": 2, "data": data}
+    ))
+    assert read_matrix_file(path).matrix.tobytes() == _reference_pairs(data).tobytes()
+
+    path = tmp_path / "ensemble.json"
+    members = [EnsembleMember(0.25, u), EnsembleMember(0.75, random_unitary(2, 6))]
+    write_ensemble_file(path, members)
+    doc = json.loads(path.read_text())
+    for member, raw in zip(read_ensemble_file(path), doc["members"]):
+        assert member.unitary.tobytes() == _reference_pairs(raw["data"]).reshape(4, 4).tobytes()
+
+
+BAD_PAIRS = {
+    "bool": "true",
+    "string": '"1.0"',
+    "one-item": "[1.0]",
+    "three-items": "[1.0, 2.0, 3.0]",
+    "nested": "[[1, 2], 3]",
+    "null": "null",
+    "bool-item": "[true, 0.0]",
+    "string-item": '[0.0, "1"]',
+    "null-item": "[null, 0.0]",
+    "overflowing-float": "[1e999, 0.0]",
+    "overflowing-negative-float": "[0.0, -1e999]",
+    "401-digit-integer": "[" + "9" * 401 + ", 0.0]",
+    "401-digit-negative-integer": "[0.0, -" + "9" * 401 + "]",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_PAIRS.values()), ids=list(BAD_PAIRS))
+def test_matrix_parser_names_the_first_bad_pair(tmp_path, bad):
+    pairs = ["[1.0, 0.0]", "[0.0, 0.0]", "[0.0, 0.0]", "[1.0, 0.0]"]
+    for index in (0, 2):
+        data = list(pairs)
+        data[index] = bad
+        if index == 2:
+            # A later structural fault must not hide the earlier one.
+            data[3] = "[1.0]"
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"format_version": 1, "kind": "operator", "dim": 2, "data": ['
+            + ", ".join(data) + "]}"
+        )
+        with pytest.raises(ModelFormatError, match=rf"'data\[{index}\]'"):
+            read_matrix_file(path)
+
+
+def test_ensemble_reader_rejects_huge_integer_weight(tmp_path):
+    path = tmp_path / "ensemble.json"
+    write_ensemble_file(path, [EnsembleMember(1.0, np.eye(2))])
+    path.write_text(path.read_text().replace('"weight": 1.0', '"weight": ' + "9" * 401))
+    with pytest.raises(ModelFormatError, match="weight"):
+        read_ensemble_file(path)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["probability", "leakage_weight", "truncated_weight", "identity_prob", "distance_to_source"],
+)
+def test_read_model_rejects_huge_integers(tmp_path, field):
+    huge = int("9" * 401)
+
+    def mutate(doc):
+        if field == "probability":
+            doc["entries"][0]["probability"] = huge
+        elif field in ("identity_prob", "distance_to_source"):
+            doc["diagnostics"][field] = huge
+        else:
+            doc[field] = huge
+
+    with pytest.raises(ModelFormatError, match=field):
+        read_model(_write_mutated_model(tmp_path, mutate), strict=False)
