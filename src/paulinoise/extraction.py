@@ -28,7 +28,7 @@ that is lost to (and from) the leaked levels is reported separately as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,15 +50,24 @@ from .paulis import (
     _pauli_transform,
     check_qubits,
     index_to_label,
+    label_to_index,
     pauli_basis,
+    pauli_labels,
     pauli_matrix,
+    pauli_qubit_count,
     qubit_count,
     require_unitary,
     validate_label,
 )
 
-#: Diagonal weights below this are a hard error, never silently clamped.
+#: Diagonal weights below minus this are a hard error, never silently
+#: clamped; so are weights above 1 plus this, unless the input was admitted
+#: as non-physical.
 NEGATIVE_WEIGHT_TOL = 1e-6
+
+#: Largest qubit count of a model built from labels or read from a file: its
+#: probability vector holds 4**n doubles, 128 MiB at 12 qubits.
+MAX_MODEL_QUBITS = 12
 
 #: Imaginary parts and sub-zero dips up to this size are clamped away.
 DEFAULT_CLAMP_TOL = 1e-9
@@ -78,46 +87,100 @@ class ModelDiagnostics:
     distance_to_source: float | None = None
 
 
-@dataclass(frozen=True)
+class _NonzeroProbabilities(Mapping[str, float]):
+    """Read-only ``{label: probability}`` view of a model's nonzero entries.
+
+    Lookups go through :func:`label_to_index` and iteration makes labels
+    only for the nonzero entries, in basis index order; nothing is copied.
+    """
+
+    def __init__(self, probs: np.ndarray, n: int) -> None:
+        self._probs = probs
+        self._n = n
+
+    def __getitem__(self, label: str) -> float:
+        if isinstance(label, str) and len(label) == self._n:
+            try:
+                prob = float(self._probs[label_to_index(label)])
+            except ValueError:
+                prob = 0.0
+            if prob != 0.0:
+                return prob
+        raise KeyError(label)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(pauli_labels(np.flatnonzero(self._probs), self._n))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._probs))
+
+
+@dataclass(frozen=True, eq=False)
 class PauliNoiseModel:
     """Stochastic Pauli noise model: one probability per Pauli string.
 
-    ``probabilities`` maps every ``n``-qubit label (index order) to a weight
-    in ``[0, 1]``. ``leakage_weight`` is the probability mass outside the
-    computational subspace; for physical inputs the probabilities and the
-    leakage weight sum to 1.
+    ``probs`` is a read-only float64 vector of length ``4**n`` in basis index
+    order; labels are made from it only where they are needed.
+    ``leakage_weight`` is the probability mass outside the computational
+    subspace, and ``truncated_weight`` the mass of entries a written model
+    dropped below its floor (0 for a model that was never written). For
+    physical inputs the three sum to 1.
     """
 
     n: int
-    probabilities: dict[str, float]
+    probs: np.ndarray
     leakage_weight: float = 0.0
+    truncated_weight: float = 0.0
     diagnostics: ModelDiagnostics = field(
         default_factory=lambda: ModelDiagnostics(identity_prob=0.0)
     )
 
+    def __post_init__(self) -> None:
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.shape != (4**self.n,):
+            raise DimensionError(
+                f"a {self.n}-qubit model needs {4**self.n} probabilities in a "
+                f"vector, got shape {probs.shape}"
+            )
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PauliNoiseModel):
+            return NotImplemented
+        return (
+            (self.n, self.leakage_weight, self.truncated_weight, self.diagnostics)
+            == (other.n, other.leakage_weight, other.truncated_weight, other.diagnostics)
+            and np.array_equal(self.probs, other.probs)
+        )
+
+    @property
+    def probabilities(self) -> Mapping[str, float]:
+        """The nonzero probabilities by label, as a read-only view."""
+        return _NonzeroProbabilities(self.probs, self.n)
+
     def probability(self, label: str) -> float:
-        return self.probabilities.get(validate_label(label), 0.0)
+        index = label_to_index(label)
+        if len(label) != self.n:
+            raise ValueError(f"label {label!r} does not have {self.n} characters")
+        return float(self.probs[index])
 
     def as_array(self) -> np.ndarray:
-        """Probabilities as a length ``4**n`` vector in basis index order."""
-        labels = pauli_basis(self.n, max_qubits=max(self.n, DEFAULT_MAX_QUBITS))
-        return np.array([self.probabilities.get(lab, 0.0) for lab in labels])
+        """Probabilities as a writable length ``4**n`` vector in basis index order."""
+        return self.probs.copy()
 
     def total_weight(self) -> float:
-        return float(sum(self.probabilities.values()) + self.leakage_weight)
+        return float(np.sum(self.probs) + self.leakage_weight + self.truncated_weight)
 
     def validate(self, budget_tol: float = DEFAULT_PHYSICALITY_TOL) -> "PauliNoiseModel":
         """Check the probability budget; raises on violation, returns self."""
-        for label, prob in self.probabilities.items():
-            validate_label(label)
-            if len(label) != self.n:
-                raise PhysicalityError(
-                    f"label {label!r} does not match the model qubit count {self.n}"
-                )
-            if not np.isfinite(prob) or prob < 0.0 or prob > 1.0:
-                raise PhysicalityError(
-                    f"probability for {label!r} is {prob!r}, outside [0, 1]"
-                )
+        outside = ~((self.probs >= 0.0) & (self.probs <= 1.0))
+        if outside.any():
+            index = int(np.argmax(outside))
+            raise PhysicalityError(
+                f"probability for {index_to_label(index, self.n)!r} is "
+                f"{float(self.probs[index])!r}, outside [0, 1]"
+            )
         if not 0.0 <= self.leakage_weight <= 1.0:
             raise PhysicalityError(
                 f"leakage weight {self.leakage_weight!r} is outside [0, 1]"
@@ -185,8 +248,7 @@ class ExtractionResult:
         """Pauli amplitudes of the error unitary by label, when there is one."""
         if self.amplitudes is None or self.amplitudes.shape[0] != 1:
             return None
-        n = self.model.n
-        labels = pauli_basis(n, max_qubits=max(n, DEFAULT_MAX_QUBITS))
+        labels = pauli_labels(np.arange(self.amplitudes.shape[1]), self.model.n)
         return dict(zip(labels, self.amplitudes[0].tolist()))
 
     def weight_matrix(self) -> np.ndarray:
@@ -342,9 +404,7 @@ def diagonal_weights_via_fidelity(
             f"diagonal weights have imaginary parts up to {max_imag:.3e}, beyond "
             f"{imag_tol:g}; the channel is not hermiticity preserving"
         )
-    _, d = superoperator_dims(s)
-    n = qubit_count(d)
-    labels = pauli_basis(n, max_qubits=max(n, max_qubits))
+    labels = pauli_labels(np.arange(diag.size), pauli_qubit_count(diag.size))
     return dict(zip(labels, diag.real.tolist()))
 
 
@@ -364,27 +424,26 @@ def coherent_residual(w: np.ndarray) -> float:
     return max(total - diag, 0.0)
 
 
-def _infer_qubits(count: int) -> int:
-    n = max((int(count).bit_length() - 1) // 2, 1)
-    if count < 4 or 4**n != count:
-        raise DimensionError(f"weight count {count} is not 4**n for any n >= 1")
-    return n
-
-
 def _assemble_model(
     diag: np.ndarray,
     leakage_weight: float,
     residual_sq: float | None,
     clamp_tol: float,
+    allow_nonphysical: bool = False,
 ) -> PauliNoiseModel:
     """Clamp diagonal weights into probabilities and attach diagnostics.
 
-    Imaginary parts and negative dips within ``clamp_tol`` are removed;
-    anything beyond that is a physicality error. Weights below
-    ``-NEGATIVE_WEIGHT_TOL`` are never clamped silently.
+    Imaginary parts within ``clamp_tol`` are removed; larger ones are a
+    physicality error. Real parts are clamped to ``[0, 1]``, but weights
+    below ``-NEGATIVE_WEIGHT_TOL`` are never clamped silently, and neither
+    are weights above ``1 + NEGATIVE_WEIGHT_TOL`` unless
+    ``allow_nonphysical`` is set: a weight above 1 is what a trace-increasing
+    input (a scaled unitary, a non-trace-preserving channel) produces, and
+    that flag admits such inputs, while a negative weight marks a map that is
+    not completely positive, which no flag admits.
     """
     diag = np.asarray(diag, dtype=complex).reshape(-1)
-    n = _infer_qubits(diag.size)
+    n = pauli_qubit_count(diag.size)
     max_imag = float(np.max(np.abs(diag.imag)))
     if max_imag > clamp_tol:
         raise PhysicalityError(
@@ -399,9 +458,15 @@ def _assemble_model(
             f"weights below -{NEGATIVE_WEIGHT_TOL:g} indicate a non-physical channel "
             "and are not clamped"
         )
+    top = int(np.argmax(real))
+    if real[top] > 1.0 + NEGATIVE_WEIGHT_TOL and not allow_nonphysical:
+        raise PhysicalityError(
+            f"diagonal weight for {index_to_label(top, n)} is {real[top]:.6e}; "
+            f"weights above 1 + {NEGATIVE_WEIGHT_TOL:g} indicate a non-physical "
+            "channel and are not clamped"
+        )
     probs = np.clip(real, 0.0, 1.0)
     mismatch_sq = float(np.sum(np.abs(diag - probs) ** 2))
-    labels = pauli_basis(n, max_qubits=max(n, DEFAULT_MAX_QUBITS))
     distance = (
         float(np.sqrt(residual_sq + mismatch_sq)) if residual_sq is not None else None
     )
@@ -412,7 +477,7 @@ def _assemble_model(
     )
     return PauliNoiseModel(
         n=n,
-        probabilities=dict(zip(labels, probs.tolist())),
+        probs=probs,
         leakage_weight=float(leakage_weight),
         diagnostics=diagnostics,
     )
@@ -423,6 +488,7 @@ def _result_from_amplitudes(
     mixture: np.ndarray,
     leakage_weight: float,
     clamp_tol: float,
+    allow_nonphysical: bool,
 ) -> ExtractionResult:
     """Model of the channel ``w = sum_k p_k a_k a_k^dag`` from the rows ``a_k``
     of ``amplitudes`` and the weights ``p_k`` in ``mixture``.
@@ -439,7 +505,9 @@ def _result_from_amplitudes(
     np.fill_diagonal(gram, power.sum(axis=1) ** 2)
     # Guard against cancellation returning a tiny negative zero.
     residual_sq = max(float(mixture @ gram @ mixture) - float(np.sum(diag**2)), 0.0)
-    model = _assemble_model(diag.astype(complex), leakage_weight, residual_sq, clamp_tol)
+    model = _assemble_model(
+        diag.astype(complex), leakage_weight, residual_sq, clamp_tol, allow_nonphysical
+    )
     return ExtractionResult(model=model, amplitudes=amplitudes, mixture=mixture)
 
 
@@ -453,7 +521,7 @@ def nearest_pauli_channel(
 
     ``weights`` is either the full coefficient matrix (square, ``4**n`` on a
     side) or just its diagonal (a length ``4**n`` vector, or a mapping from
-    labels to weights). The model's probabilities are the real parts of the
+    labels to weights on at most ``MAX_MODEL_QUBITS`` qubits). The model's probabilities are the real parts of the
     diagonal, clamped to ``[0, 1]`` within ``clamp_tol``; among all Pauli
     channels this choice minimizes the Frobenius distance to the source.
 
@@ -467,9 +535,11 @@ def nearest_pauli_channel(
         lengths = {len(validate_label(lab)) for lab in weights}
         if len(lengths) != 1:
             raise DimensionError("weight mapping mixes labels of different lengths")
-        n = lengths.pop()
-        labels = pauli_basis(n, max_qubits=max(n, DEFAULT_MAX_QUBITS))
-        diag = np.array([complex(weights.get(lab, 0.0)) for lab in labels])
+        n = check_qubits(lengths.pop(), MAX_MODEL_QUBITS)
+        diag = np.zeros(4**n, dtype=complex)
+        diag[[label_to_index(lab) for lab in weights]] = [
+            complex(value) for value in weights.values()
+        ]
         return _assemble_model(diag, leakage_weight, None, clamp_tol)
     arr = np.asarray(weights, dtype=complex)
     if arr.ndim == 2:
@@ -589,7 +659,9 @@ def extract_from_unitary(
     if leakage is not None:
         err, leak = leakage_project(err, leakage, tol=clamp_tol)
     n = check_qubits(qubit_count(err.shape[0]), max_qubits)
-    return _result_from_amplitudes(_amplitudes(err, n)[None, :], np.ones(1), leak, clamp_tol)
+    return _result_from_amplitudes(
+        _amplitudes(err, n)[None, :], np.ones(1), leak, clamp_tol, allow_nonunitary
+    )
 
 
 def extract_from_ensemble(
@@ -645,7 +717,7 @@ def extract_from_ensemble(
         leak = float(weights @ np.array(leaks))
     n = check_qubits(qubit_count(errs.shape[1]), max_qubits)
     amplitudes = np.stack([_amplitudes(e, n) for e in errs])
-    return _result_from_amplitudes(amplitudes, weights, leak, clamp_tol)
+    return _result_from_amplitudes(amplitudes, weights, leak, clamp_tol, allow_nonphysical)
 
 
 def extract_from_channel(
@@ -689,5 +761,7 @@ def extract_from_channel(
     if leakage is not None:
         err, leak = leakage_project_channel(err, leakage, tol=clamp_tol)
     w = coefficient_matrix(err, max_qubits=max_qubits)
-    model = nearest_pauli_channel(w, leak, clamp_tol=clamp_tol)
+    model = _assemble_model(
+        np.diagonal(w), leak, coherent_residual(w), clamp_tol, allow_nonphysical
+    )
     return ExtractionResult(model=model, weights=w)

@@ -31,7 +31,8 @@ noise model document::
 Model entries are sorted by descending probability (ties by label index) and
 entries below the writer's probability floor are dropped, with the dropped
 mass recorded in ``truncated_weight`` so the budget still closes. Every
-document written by this module re-validates on read.
+document written by this module re-validates on read, and a read model keeps
+its ``truncated_weight``, so writing it again gives the same text.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError
-from .extraction import ModelDiagnostics, PauliNoiseModel
+from .errors import DimensionError, ModelFormatError
+from .extraction import MAX_MODEL_QUBITS, ModelDiagnostics, PauliNoiseModel
 from .generators import EnsembleMember
+from .paulis import label_to_index, pauli_labels, pauli_qubit_count
 # pauli_basis is unused here but stays importable from this module, because
 # the traced benchmark run (bench/tracing.py) rebinds model_io.pauli_basis.
-from .paulis import label_to_index, pauli_basis, validate_label  # noqa: F401
+from .paulis import pauli_basis  # noqa: F401
 
 FORMAT_VERSION = 1
 
@@ -323,10 +325,10 @@ def write_coefficient_file(
     weights = np.asarray(weights, dtype=complex)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise ModelFormatError(f"coefficient matrix must be square, got {weights.shape}")
-    size = weights.shape[0]
-    n = max((size.bit_length() - 1) // 2, 1)
-    if 4**n != size:
-        raise ModelFormatError(f"coefficient matrix side {size} is not 4**n")
+    try:
+        n = pauli_qubit_count(weights.shape[0])
+    except DimensionError as exc:
+        raise ModelFormatError(f"coefficient matrix side: {exc}") from exc
     document = {
         "format_version": FORMAT_VERSION,
         "kind": KIND_COEFFICIENTS,
@@ -362,22 +364,22 @@ def model_to_document(
         raise ValueError(f"probability floor must be finite and >= 0, got {floor!r}")
     if strict:
         model.validate()
-    kept = []
-    truncated = 0.0
-    for label, prob in model.probabilities.items():
-        validate_label(label)
-        if prob >= floor and prob > 0.0:
-            kept.append((label, float(prob)))
-        else:
-            truncated += float(prob)
-    kept.sort(key=lambda item: (-item[1], label_to_index(item[0])))
+    probs = model.probs
+    keep = (probs >= floor) & (probs > 0.0)
+    # The dropped mass is added to the model's own truncated weight one entry
+    # at a time in index order, so the written value does not depend on how
+    # a vector sum would group the terms; exact zeros add nothing.
+    truncated = float(model.truncated_weight)
+    for prob in probs[~keep & (probs != 0.0)].tolist():
+        truncated += prob
+    kept = np.flatnonzero(keep)
+    kept = kept[np.lexsort((kept, -probs[kept]))]
+    entries = zip(pauli_labels(kept, model.n), probs[kept].tolist())
     document: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": KIND_MODEL,
         "n": model.n,
-        "entries": [
-            {"label": label, "probability": prob} for label, prob in kept
-        ],
+        "entries": [{"label": label, "probability": prob} for label, prob in entries],
         "leakage_weight": float(model.leakage_weight),
         "truncated_weight": truncated,
         "diagnostics": {
@@ -416,19 +418,19 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     _check_header(doc, KIND_MODEL, path)
     n = doc.get("n")
     _require(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+        isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_MODEL_QUBITS,
         path,
-        f"'n' must be a positive integer, got {n!r}",
+        f"'n' must be an integer in [1, {MAX_MODEL_QUBITS}], got {n!r}",
     )
     entries = doc.get("entries")
     _require(isinstance(entries, list), path, "'entries' must be a list")
-    probabilities: dict[str, float] = {}
+    by_index: dict[int, float] = {}
     for i, raw in enumerate(entries):
         _require(isinstance(raw, dict), path, f"'entries[{i}]' must be an object")
         label = raw.get("label")
         _require(isinstance(label, str), path, f"'entries[{i}].label' must be a string")
         try:
-            validate_label(label)
+            index = label_to_index(label)
         except ValueError as exc:
             raise _fail(path, f"'entries[{i}].label': {exc}") from exc
         _require(
@@ -437,7 +439,7 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
             f"'entries[{i}].label' {label!r} does not have {n} characters",
         )
         _require(
-            label not in probabilities,
+            index not in by_index,
             path,
             f"'entries[{i}].label' {label!r} appears more than once",
         )
@@ -448,7 +450,7 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
             f"'entries[{i}].probability' must be a number in [0, 1], "
             f"got {raw.get('probability')!r}",
         )
-        probabilities[label] = prob
+        by_index[index] = prob
     leakage = _finite_number(doc.get("leakage_weight", 0.0))
     _require(
         leakage is not None and 0.0 <= leakage <= 1.0,
@@ -480,7 +482,7 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     identity_prob = _optional_float("identity_prob")
     _require(identity_prob is not None, path, "'diagnostics.identity_prob' is required")
     if strict:
-        budget = sum(probabilities.values()) + truncated + leakage
+        budget = sum(by_index.values()) + truncated + leakage
         _require(
             abs(budget - 1.0) <= 1e-9,
             path,
@@ -491,24 +493,22 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
         coherent_residual_sq=_optional_float("coherent_residual_sq"),
         distance_to_source=_optional_float("distance_to_source"),
     )
+    probs = np.zeros(4**n)
+    probs[list(by_index)] = list(by_index.values())
     return PauliNoiseModel(
         n=n,
-        probabilities=probabilities,
+        probs=probs,
         leakage_weight=leakage,
+        truncated_weight=truncated,
         diagnostics=diagnostics,
     )
 
 
 def _chain_entries(model: PauliNoiseModel) -> list[tuple[str, float]]:
-    """Non-identity entries in canonical index order, zeros dropped."""
-    identity = "I" * model.n
-    out = [
-        (label, float(prob))
-        for label, prob in model.probabilities.items()
-        if prob > 0.0 and label != identity
-    ]
-    out.sort(key=lambda item: label_to_index(item[0]))
-    return out
+    """Positive non-identity entries in canonical index order."""
+    # The identity string is index 0.
+    kept = np.flatnonzero(model.probs[1:] > 0.0) + 1
+    return list(zip(pauli_labels(kept, model.n), model.probs[kept].tolist()))
 
 
 def _chain_targets(label: str) -> str:

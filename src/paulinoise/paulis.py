@@ -29,8 +29,9 @@ from .errors import DimensionError, PhysicalityError, SizeLimitError
 
 PAULI_ALPHABET = "IXYZ"
 
-#: Maps each label character to its base-4 digit.
+#: Maps each label character to its base-4 digit, and each digit back.
 _DIGITS = str.maketrans(PAULI_ALPHABET, "0123")
+_LETTERS = np.frombuffer(PAULI_ALPHABET.encode("ascii"), dtype=np.uint8)
 
 #: Default cap on label enumeration and on the unitary route; label lists
 #: and models hold ``4**n`` entries.
@@ -65,8 +66,10 @@ def validate_label(label: str) -> str:
     """Return ``label`` unchanged if it is a well-formed Pauli string label."""
     if not isinstance(label, str) or len(label) == 0:
         raise ValueError("Pauli label must be a non-empty string")
-    bad = set(label) - set(PAULI_ALPHABET)
-    if bad:
+    # Stripping every alphabet letter from both ends leaves nothing exactly
+    # when all characters are letters; the offenders are listed on failure.
+    if label.strip(PAULI_ALPHABET):
+        bad = set(label) - set(PAULI_ALPHABET)
         raise ValueError(
             f"Pauli label {label!r} contains invalid characters {sorted(bad)}; "
             f"the allowed alphabet is {PAULI_ALPHABET!r}"
@@ -92,6 +95,23 @@ def index_to_label(index: int, n: int) -> str:
     return "".join(reversed(chars))
 
 
+def pauli_labels(indices: np.ndarray, n: int) -> list[str]:
+    """Labels of the ``n``-qubit strings at ``indices``, in the order given.
+
+    The one place labels are built in bulk: each index is split into its
+    base-4 digits at once and the digits are read as letters, so the cost is
+    a few array passes plus one slice per label. Indices must lie in
+    ``[0, 4**n)``; ``n`` is limited to 31 so that indices fit in int64.
+    """
+    check_qubits(n, 31)
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= 4**n):
+        raise ValueError(f"indices must lie in [0, {4**n}) for {n} qubit(s)")
+    shifts = np.arange(2 * n - 2, -1, -2)
+    text = _LETTERS[(idx[:, None] >> shifts) & 3].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
+
+
 def pauli_basis(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> list[str]:
     """All ``4**n`` Pauli string labels on ``n`` qubits, in index order.
 
@@ -99,7 +119,16 @@ def pauli_basis(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> list[str]:
     ``max_qubits`` are rejected to keep dense enumeration affordable.
     """
     check_qubits(n, max_qubits)
-    return [index_to_label(i, n) for i in range(4**n)]
+    return pauli_labels(np.arange(4**n), n)
+
+
+def pauli_qubit_count(count: int) -> int:
+    """The ``n >= 1`` with ``4**n == count``, for a vector or matrix side
+    indexed by ``n``-qubit strings; :class:`DimensionError` if there is none."""
+    n = max((int(count).bit_length() - 1) // 2, 1)
+    if 4**n != count:
+        raise DimensionError(f"size {count} is not 4**n for any n >= 1")
+    return n
 
 
 def pauli_matrix(label: str) -> np.ndarray:

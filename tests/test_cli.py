@@ -7,8 +7,12 @@ import json
 import numpy as np
 import pytest
 
+import paulinoise
+import paulinoise.channels
 import paulinoise.cli
 import paulinoise.extraction
+import paulinoise.model_io
+import paulinoise.paulis
 from paulinoise import (
     average_channel,
     chain_to_probabilities,
@@ -399,6 +403,32 @@ def test_avg_extract_builds_no_superoperator(tmp_path, monkeypatch, capsys):
     ens = _write_ensemble(tmp_path / "ensemble.json", 2, 3, 7)
     argv = ["avg-extract", "--weights", str(ens), "--full-coeffs", str(tmp_path / "w.json")]
     assert run_cli(argv) == 0
+    capsys.readouterr()
+
+
+def test_extract_routes_enumerate_no_labels(tmp_path, monkeypatch, capsys):
+    # Models are vectors: only the labels of written entries are made, through
+    # pauli_labels, so no route needs the full label list.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an extract op must not enumerate all labels")
+
+    for module in (paulinoise, paulinoise.paulis, paulinoise.channels,
+                   paulinoise.extraction, paulinoise.model_io):
+        monkeypatch.setattr(module, "pauli_basis", forbidden)
+    unitary = tmp_path / "u.json"
+    write_matrix_file(unitary, random_unitary(3, 4), KIND_OPERATOR)
+    chan = tmp_path / "chan.json"
+    write_matrix_file(chan, lift_unitary(random_unitary(2, 5)), KIND_SUPEROPERATOR)
+    ens = _write_ensemble(tmp_path / "ensemble.json", 3, 2, 6)
+    for n, source in ((3, ["extract", "--unitary", str(unitary)]),
+                      (2, ["extract-channel", "--channel", str(chan)]),
+                      (3, ["avg-extract", "--weights", str(ens)])):
+        model_path, chain_path = tmp_path / "m.json", tmp_path / "c.stim"
+        argv = source + ["-o", str(model_path), "--stim", str(chain_path)]
+        assert run_cli(argv) == 0
+        model = read_model(model_path, strict=True)
+        recovered = chain_to_probabilities(chain_path.read_text(), n)
+        assert model.n == n and len(recovered) == len(model.probabilities) - 1
     capsys.readouterr()
 
 

@@ -243,6 +243,24 @@ def test_nearest_pauli_channel_rejects_negative_weights():
     assert "X" in str(excinfo.value)
 
 
+def test_nearest_pauli_channel_rejects_weights_above_one():
+    # The dip of -1e-8 is within tolerance; the weight 1.3 is not clamped to 1.
+    with pytest.raises(PhysicalityError) as excinfo:
+        nearest_pauli_channel(np.array([1.3, 0.0, 0.0, -1e-8]))
+    assert "for I " in str(excinfo.value)
+    with pytest.raises(PhysicalityError, match="for ZX "):
+        nearest_pauli_channel({"ZX": 1.0 + 2e-6})
+    model = nearest_pauli_channel(np.array([1.0 + 5e-7, 0.0, 0.0, -1e-8]))
+    assert model.probability("I") == 1.0
+    # A scaled unitary is admitted by allow_nonunitary, and its weight above 1
+    # is clamped under that flag.
+    scaled = extract_from_unitary(np.eye(2) * 1.01, allow_nonunitary=True).model
+    assert scaled.probability("I") == 1.0
+    with pytest.raises(PhysicalityError, match="above 1"):
+        extract_from_channel(np.eye(4) * 1.01, physicality_tol=0.1)
+    assert extract_from_channel(np.eye(4) * 1.01, allow_nonphysical=True).model.probability("I") == 1.0
+
+
 def test_nearest_pauli_channel_clamps_only_within_tolerance():
     model = nearest_pauli_channel(np.array([1.0, -1e-10, 0.0, 0.0]))
     assert model.probability("X") == 0.0

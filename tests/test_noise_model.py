@@ -1,0 +1,202 @@
+"""The probability vector behind PauliNoiseModel: its invariants, its label
+view, and its serialization against a per-label dict loop kept here as the
+oracle."""
+
+from __future__ import annotations
+
+import json
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paulinoise import (
+    DimensionError,
+    ModelDiagnostics,
+    ModelFormatError,
+    PauliNoiseModel,
+    SizeLimitError,
+    export_stim_chain,
+    extract_from_unitary,
+    index_to_label,
+    label_to_index,
+    nearest_pauli_channel,
+    pauli_channel,
+    random_unitary,
+    read_model,
+    write_model,
+)
+from paulinoise.model_io import FORMAT_VERSION, KIND_MODEL, dump_json, model_to_document
+
+
+def _oracle_probabilities(model):
+    """Every label with its probability, built one label at a time."""
+    return {index_to_label(i, model.n): p for i, p in enumerate(model.probs.tolist())}
+
+
+def _oracle_document_text(model, floor):
+    kept = []
+    truncated = model.truncated_weight
+    for label, prob in _oracle_probabilities(model).items():
+        if prob >= floor and prob > 0.0:
+            kept.append((label, prob))
+        else:
+            truncated += prob
+    kept.sort(key=lambda item: (-item[1], label_to_index(item[0])))
+    document = {
+        "format_version": FORMAT_VERSION,
+        "kind": KIND_MODEL,
+        "n": model.n,
+        "entries": [{"label": label, "probability": prob} for label, prob in kept],
+        "leakage_weight": model.leakage_weight,
+        "truncated_weight": truncated,
+        "diagnostics": {
+            "identity_prob": model.diagnostics.identity_prob,
+            "coherent_residual_sq": model.diagnostics.coherent_residual_sq,
+            "distance_to_source": model.diagnostics.distance_to_source,
+        },
+    }
+    return dump_json(None, document)
+
+
+def _oracle_chain(model):
+    identity = "I" * model.n
+    entries = sorted(
+        (
+            (label, prob)
+            for label, prob in _oracle_probabilities(model).items()
+            if prob > 0.0 and label != identity
+        ),
+        key=lambda item: label_to_index(item[0]),
+    )
+    lines = []
+    prefix = 0.0
+    for k, (label, prob) in enumerate(entries):
+        denominator = 1.0 - prefix
+        conditional = 1.0 if denominator <= 1e-15 else min(prob / denominator, 1.0)
+        name = "CORRELATED_ERROR" if k == 0 else "ELSE_CORRELATED_ERROR"
+        targets = " ".join(f"{ch}{q}" for q, ch in enumerate(label) if ch != "I")
+        lines.append(f"{name}({conditional!r}) {targets}")
+        prefix += prob
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Exact zeros (both signs), exact ties, entries just under, at and over the
+# default floor, and arbitrary values.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-13, 1e-12, 2e-12, 0.125, 0.25]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    probs=st.integers(1, 4).flatmap(
+        lambda n: st.lists(_ENTRY, min_size=4**n, max_size=4**n)
+    ),
+    floor=st.sampled_from([0.0, 1e-12, 0.2]),
+    truncated=st.sampled_from([0.0, 2e-9, 0.1]),
+    leakage=st.sampled_from([0.0, 0.25]),
+)
+def test_document_and_chain_match_per_label_oracle(probs, floor, truncated, leakage):
+    n = (len(probs).bit_length() - 1) // 2
+    model = PauliNoiseModel(
+        n=n,
+        probs=np.array(probs),
+        leakage_weight=leakage,
+        truncated_weight=truncated,
+        diagnostics=ModelDiagnostics(identity_prob=probs[0]),
+    )
+    document = model_to_document(model, floor=floor, strict=False)
+    assert dump_json(None, document) == _oracle_document_text(model, floor)
+    assert export_stim_chain(model) == _oracle_chain(model)
+
+
+def test_extracted_documents_match_per_label_oracle():
+    for n in range(1, 5):
+        model = extract_from_unitary(random_unitary(n, 40 + n)).model
+        assert write_model(None, model) == _oracle_document_text(model, 1e-12)
+        assert export_stim_chain(model) == _oracle_chain(model)
+
+
+def test_model_vector_is_checked_and_read_only():
+    source = np.array([0.5, 0.0, 0.5, 0.0])
+    model = PauliNoiseModel(n=1, probs=source)
+    source[0] = 0.0
+    assert model.probs[0] == 0.5
+    assert model.probs.dtype == np.float64
+    with pytest.raises(ValueError):
+        model.probs[1] = 0.1
+    copy = model.as_array()
+    copy[0] = 0.0
+    assert model.probs[0] == 0.5
+    for bad_n, bad_probs in ((1, np.zeros(5)), (2, np.zeros(4)), (1, np.zeros((2, 2)))):
+        with pytest.raises(DimensionError):
+            PauliNoiseModel(n=bad_n, probs=bad_probs)
+
+
+def test_model_equality_compares_vectors():
+    a = nearest_pauli_channel(np.array([0.9, 0.1, 0.0, 0.0]))
+    b = nearest_pauli_channel({"I": 0.9, "X": 0.1})
+    assert a == b
+    assert a != nearest_pauli_channel(np.array([0.9, 0.0, 0.1, 0.0]))
+    assert a != PauliNoiseModel(n=1, probs=a.probs, diagnostics=a.diagnostics, truncated_weight=1e-3)
+    assert a != "model"
+
+
+def test_probabilities_view_lists_nonzero_entries():
+    model = nearest_pauli_channel(np.array([0.5, 0.0, 0.5, 0.0]))
+    view = model.probabilities
+    assert dict(view) == {"I": 0.5, "Y": 0.5}
+    assert list(view) == ["I", "Y"] and len(view) == 2
+    assert "X" not in view and view.get("X", 0.0) == 0.0
+    for missing in ("II", "", "Q", 3, None):
+        assert missing not in view
+    assert model.probability("X") == 0.0
+    with pytest.raises(ValueError):
+        model.probability("II")
+    with pytest.raises(TypeError):
+        view["Z"] = 0.1  # type: ignore[index]
+    np.testing.assert_array_equal(pauli_channel(view), pauli_channel({"I": 0.5, "Y": 0.5}))
+
+
+def test_truncated_weight_survives_write_read_write(tmp_path):
+    # 4095 entries under the floor: the first write moves 2.05e-9 into
+    # truncated_weight, and the read model must carry it for the budget to
+    # close on the second write.
+    probs = np.full(4**6, 5e-13)
+    probs[0] = 1.0 - 4095 * 5e-13
+    model = nearest_pauli_channel(probs)
+    first = write_model(tmp_path / "a.json", model)
+    loaded = read_model(tmp_path / "a.json")
+    assert loaded.truncated_weight == json.loads(first)["truncated_weight"] > 0.0
+    assert abs(loaded.total_weight() - 1.0) < 1e-12
+    assert write_model(tmp_path / "b.json", loaded) == first
+    assert read_model(tmp_path / "b.json") == loaded
+
+
+def test_model_document_with_huge_qubit_count_fails_fast(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format_version": FORMAT_VERSION,
+                "kind": KIND_MODEL,
+                "n": 40,
+                "entries": [{"label": "I" * 40, "probability": 1.0}],
+                "diagnostics": {"identity_prob": 1.0},
+            }
+        )
+    )
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError, match="'n' must be an integer in"):
+        read_model(path)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_label_mapping_checks_the_model_qubit_cap():
+    with pytest.raises(SizeLimitError):
+        nearest_pauli_channel({"I" * 13: 1.0})
+    assert nearest_pauli_channel({"Z" * 7: 1.0}).probability("Z" * 7) == 1.0

@@ -16,11 +16,13 @@ from paulinoise import (
     index_to_label,
     label_to_index,
     pauli_basis,
+    pauli_labels,
     pauli_matrix,
 )
 from paulinoise.paulis import (
     _pauli_transform,
     check_qubits,
+    pauli_qubit_count,
     qubit_count,
     require_unitary,
     unitarity_defect,
@@ -80,6 +82,29 @@ def test_basis_qubit_cap():
     with pytest.raises(SizeLimitError):
         pauli_basis(0)
     assert len(pauli_basis(7, max_qubits=7)) == 4**7
+
+
+def test_pauli_labels_equal_index_to_label():
+    for n in range(1, 6):
+        assert pauli_labels(np.arange(4**n), n) == [index_to_label(i, n) for i in range(4**n)]
+    rng = np.random.default_rng(3)
+    for n in (7, 12, 31):
+        # Unsorted, repeated and extreme indices keep their order.
+        indices = np.concatenate([rng.integers(0, 4**n, size=200), [4**n - 1, 0, 0]])
+        assert pauli_labels(indices, n) == [index_to_label(int(i), n) for i in indices]
+    assert pauli_labels(np.array([], dtype=int), 3) == []
+    for bad in ([-1], [16]):
+        with pytest.raises(ValueError):
+            pauli_labels(np.array(bad), 2)
+    with pytest.raises(SizeLimitError):
+        pauli_labels(np.arange(4), 32)
+
+
+def test_pauli_qubit_count():
+    assert [pauli_qubit_count(4**n) for n in range(1, 8)] == list(range(1, 8))
+    for bad in (-4, 0, 1, 2, 8, 5, 64 * 2):
+        with pytest.raises(DimensionError):
+            pauli_qubit_count(bad)
 
 
 def test_single_qubit_matrices():
