@@ -16,7 +16,9 @@ off-diagonal cross terms ``(P, Q)`` and ``(Q, P)`` separately, as any
 entrywise norm must.
 
 Dimension caps: dense superoperator construction is capped at
-``DEFAULT_SUPEROP_MAX_QUBITS`` qubits because memory grows as ``16**n``.
+``DEFAULT_SUPEROP_MAX_QUBITS`` qubits because memory grows as ``16**n``, and
+:func:`lift_unitary` at half of ``MAX_MODEL_QUBITS``; both caps are defined
+in :mod:`paulinoise.paulis`.
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ import numpy as np
 
 from .errors import DimensionError, PhysicalityError
 from .paulis import (
+    DEFAULT_SUPEROP_MAX_QUBITS,
     DEFAULT_UNITARITY_TOL,
+    MAX_MODEL_QUBITS,
+    check_levels,
     check_qubits,
     pauli_basis,
     pauli_matrix,
     qubit_count,
     require_unitary,
 )
-
-#: Dense superoperators hold 16**n complex entries; five qubits is 16 MB.
-DEFAULT_SUPEROP_MAX_QUBITS = 5
 
 #: Default tolerance for trace/hermiticity preservation and imaginary parts.
 DEFAULT_PHYSICALITY_TOL = 1e-9
@@ -85,11 +87,14 @@ def lift_unitary(
     """Superoperator of conjugation by ``u``: ``vec(u rho u^dag) = kron(u, u.conj()) vec(rho)``.
 
     ``u`` must be unitary within ``unitarity_tol`` unless ``allow_nonunitary``
-    is set (useful for lifting non-unitary blocks for diagnostics).
+    is set (useful for lifting non-unitary blocks for diagnostics). The lift
+    of ``d`` levels holds ``d**4`` entries, so ``d`` is capped at
+    ``2**(MAX_MODEL_QUBITS // 2)``: no more entries than the largest model.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square operator, got shape {u.shape}")
+    check_levels(u.shape[0], MAX_MODEL_QUBITS // 2)
     if not allow_nonunitary:
         require_unitary(u, unitarity_tol, name="lift_unitary input")
     return np.kron(u, u.conj())
@@ -104,7 +109,7 @@ def channel_from_oracle(oracle: Callable[[np.ndarray], np.ndarray], dim: int) ->
     """
     if dim < 2:
         raise DimensionError("operator dimension must be at least 2")
-    check_qubits(int(dim - 1).bit_length(), DEFAULT_SUPEROP_MAX_QUBITS)
+    check_levels(dim, DEFAULT_SUPEROP_MAX_QUBITS)
     s = np.empty((dim * dim, dim * dim), dtype=complex)
     unit = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
@@ -212,11 +217,7 @@ def hermiticity_defect(s: np.ndarray) -> float:
     return float(np.max(np.abs(t - t.transpose(1, 0, 3, 2).conj())))
 
 
-def pauli_pair_diagonal(
-    s: np.ndarray,
-    *,
-    max_qubits: int = DEFAULT_SUPEROP_MAX_QUBITS,
-) -> np.ndarray:
+def pauli_pair_diagonal(s: np.ndarray) -> np.ndarray:
     """Diagonal Pauli-pair coefficients ``<kron(P, P.conj()), s>`` for every
     Pauli string ``P``, in basis index order.
 
@@ -233,8 +234,8 @@ def pauli_pair_diagonal(
     """
     s = np.asarray(s, dtype=complex)
     d2, d = superoperator_dims(s)
-    n = check_qubits(qubit_count(d), max_qubits)
-    stack = np.stack([pauli_matrix(label) for label in pauli_basis(n, max_qubits=max_qubits)])
+    n = check_qubits(qubit_count(d), DEFAULT_SUPEROP_MAX_QUBITS)
+    stack = np.stack([pauli_matrix(label) for label in pauli_basis(n)])
     t = s.reshape(d, d, d, d)
     return np.einsum("pac,ceab,peb->p", stack, t, stack, optimize=True) / d2
 
@@ -262,15 +263,13 @@ class PhysicalityReport:
 def check_physicality(
     s: np.ndarray,
     tol: float = DEFAULT_PHYSICALITY_TOL,
-    *,
-    max_qubits: int = DEFAULT_SUPEROP_MAX_QUBITS,
 ) -> PhysicalityReport:
     """Report trace preservation, hermiticity preservation, and realness of
     the diagonal Pauli-pair weights, each judged against ``tol``."""
     s = np.asarray(s, dtype=complex)
     trace_dev = trace_preservation_defect(s)
     herm_dev = hermiticity_defect(s)
-    diag = pauli_pair_diagonal(s, max_qubits=max_qubits)
+    diag = pauli_pair_diagonal(s)
     max_imag = float(np.max(np.abs(diag.imag)))
     return PhysicalityReport(
         trace_preserving=trace_dev <= tol,

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .channels import DEFAULT_SUPEROP_MAX_QUBITS, channel_distance, lift_unitary
+from .channels import channel_distance, lift_unitary
 from .errors import (
     DimensionError,
     ModelFormatError,
@@ -64,10 +64,25 @@ from .model_io import (
     write_matrix_file,
     write_model,
 )
-from .paulis import validate_label
+from .paulis import DEFAULT_MAX_QUBITS, DEFAULT_SUPEROP_MAX_QUBITS, validate_label
+
+#: The part of ``--allow-nonphysical`` that all three extraction routes share;
+#: a negative weight is admitted on none of them.
+_ADMITS = "; also clamps weights above 1 and skips the written model's budget check"
 
 
-def _add_common_extract_options(parser: argparse.ArgumentParser) -> None:
+def _tolerance(text: str) -> float:
+    """``--tol`` value: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _add_common_extract_options(parser: argparse.ArgumentParser, admits: str) -> None:
     parser.add_argument("--target", help="operator file with the intended gate (default: identity)")
     parser.add_argument(
         "--leakage",
@@ -75,15 +90,9 @@ def _add_common_extract_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_CLAMP_TOL,
         help="unitarity/physicality/clamping tolerance (default %(default)g)",
-    )
-    parser.add_argument(
-        "--max-qubits",
-        type=int,
-        default=None,
-        help="override the qubit caps for dense enumeration",
     )
     parser.add_argument(
         "--floor",
@@ -92,11 +101,7 @@ def _add_common_extract_options(parser: argparse.ArgumentParser) -> None:
         help="probabilities below this are dropped from the written model"
         " (default %(default)g)",
     )
-    parser.add_argument(
-        "--allow-nonphysical",
-        action="store_true",
-        help="extract diagnostics even from non-unitary or non-physical inputs",
-    )
+    parser.add_argument("--allow-nonphysical", action="store_true", help=admits + _ADMITS)
     parser.add_argument("-o", "--output", help="model file to write (default: print)")
     parser.add_argument("--stim", help="also write the correlated-error chain here")
     parser.add_argument(
@@ -116,21 +121,31 @@ def build_parser() -> argparse.ArgumentParser:
         "extract", help="extract a noise model from a unitary implementation"
     )
     p_extract.add_argument("--unitary", required=True, help="operator file with the implementation")
-    _add_common_extract_options(p_extract)
+    _add_common_extract_options(
+        p_extract, "admit a non-unitary implementation or target (no unitarity check)"
+    )
     p_extract.set_defaults(handler=_cmd_extract)
 
     p_channel = sub.add_parser(
         "extract-channel", help="extract a noise model from a superoperator"
     )
     p_channel.add_argument("--channel", required=True, help="superoperator file with the implementation")
-    _add_common_extract_options(p_channel)
+    _add_common_extract_options(
+        p_channel,
+        "admit a channel that is not trace or hermiticity preserving; the"
+        " target must still be unitary",
+    )
     p_channel.set_defaults(handler=_cmd_extract_channel)
 
     p_avg = sub.add_parser(
         "avg-extract", help="extract a noise model from a weighted unitary ensemble"
     )
     p_avg.add_argument("--weights", required=True, help="unitary ensemble file")
-    _add_common_extract_options(p_avg)
+    _add_common_extract_options(
+        p_avg,
+        "skip the mixture's trace-preservation check; members and target must"
+        " still be unitary",
+    )
     p_avg.set_defaults(handler=_cmd_avg_extract)
 
     p_distance = sub.add_parser(
@@ -140,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distance.add_argument("file_b", help="operator or superoperator file")
     p_distance.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_CLAMP_TOL,
         help="unitarity tolerance for operator inputs (default %(default)g)",
     )
@@ -170,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_rand = gen_sub.add_parser("random-unitary", help="seeded Haar-random unitary")
     g_rand.add_argument("--n", type=int, required=True, help="qubit count")
     g_rand.add_argument("--seed", type=int, required=True)
-    g_rand.add_argument("--max-qubits", type=int, default=None)
+    g_rand.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     g_rand.add_argument("-o", "--output", help="operator file to write (default: print)")
     g_rand.set_defaults(handler=_cmd_gen_random)
 
@@ -252,7 +267,6 @@ def _provenance(args: argparse.Namespace, **inputs: Any) -> dict[str, Any]:
         "inputs": inputs,
         "tol": args.tol,
         "floor": getattr(args, "floor", None),
-        "max_qubits": getattr(args, "max_qubits", None),
         "leakage": getattr(args, "leakage", None),
         "allow_nonphysical": bool(getattr(args, "allow_nonphysical", False)),
     }
@@ -268,11 +282,10 @@ def _emit_extraction(
     if args.full_coeffs:
         # The coefficient file holds 16**n pairs, as a superoperator does: at
         # n = 5 it is 72 MiB of JSON and takes ~0.5 GiB to write.
-        cap = DEFAULT_SUPEROP_MAX_QUBITS if args.max_qubits is None else args.max_qubits
-        if model.n > cap:
+        if model.n > DEFAULT_SUPEROP_MAX_QUBITS:
             raise SizeLimitError(
                 f"--full-coeffs writes 16**n coefficients; {model.n} qubits exceed "
-                f"its cap of {cap} (raise it with --max-qubits)"
+                f"its cap of {DEFAULT_SUPEROP_MAX_QUBITS}"
             )
     strict = not args.allow_nonphysical
     text = write_model(
@@ -297,16 +310,6 @@ def _emit_extraction(
     return 0
 
 
-def _extract_kwargs(args: argparse.Namespace) -> dict[str, Any]:
-    kwargs: dict[str, Any] = {
-        "unitarity_tol": args.tol,
-        "clamp_tol": args.tol,
-    }
-    if args.max_qubits is not None:
-        kwargs["max_qubits"] = args.max_qubits
-    return kwargs
-
-
 def _cmd_extract(args: argparse.Namespace) -> int:
     doc = _read_operator(args.unitary)
     target = _read_operator(args.target).matrix if args.target else None
@@ -315,8 +318,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         doc.matrix,
         target,
         leakage=leakage,
+        unitarity_tol=args.tol,
+        clamp_tol=args.tol,
         allow_nonunitary=args.allow_nonphysical,
-        **_extract_kwargs(args),
     )
     provenance = _provenance(args, unitary=args.unitary, target=args.target)
     return _emit_extraction(args, result, provenance)
@@ -332,8 +336,9 @@ def _cmd_extract_channel(args: argparse.Namespace) -> int:
         target,
         leakage=leakage,
         physicality_tol=args.tol,
+        unitarity_tol=args.tol,
+        clamp_tol=args.tol,
         allow_nonphysical=args.allow_nonphysical,
-        **_extract_kwargs(args),
     )
     provenance = _provenance(args, channel=args.channel, target=args.target)
     return _emit_extraction(args, result, provenance)
@@ -349,8 +354,9 @@ def _cmd_avg_extract(args: argparse.Namespace) -> int:
         target,
         leakage=leakage,
         physicality_tol=args.tol,
+        unitarity_tol=args.tol,
+        clamp_tol=args.tol,
         allow_nonphysical=args.allow_nonphysical,
-        **_extract_kwargs(args),
     )
     provenance = _provenance(args, weights=args.weights, target=args.target)
     return _emit_extraction(args, result, provenance)
@@ -414,10 +420,7 @@ def _cmd_gen_cz(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_random(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.max_qubits is not None:
-        kwargs["max_qubits"] = args.max_qubits
-    matrix = random_unitary(args.n, args.seed, **kwargs)
+    matrix = random_unitary(args.n, args.seed, max_qubits=args.max_qubits)
     meta = {"generator": "random-unitary", "n": repr(args.n), "seed": repr(args.seed)}
     return _emit_matrix(args, matrix, KIND_OPERATOR, meta)
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .channels import (
     DEFAULT_PHYSICALITY_TOL,
-    DEFAULT_SUPEROP_MAX_QUBITS,
     compose,
     hermiticity_defect,
     lift_unitary,
@@ -45,9 +44,11 @@ from .channels import (
 from .errors import DimensionError, PhysicalityError
 from .generators import EnsembleMember, _ensemble_arrays
 from .paulis import (
-    DEFAULT_MAX_QUBITS,
+    DEFAULT_SUPEROP_MAX_QUBITS,
     DEFAULT_UNITARITY_TOL,
+    MAX_MODEL_QUBITS,
     _pauli_transform,
+    check_levels,
     check_qubits,
     index_to_label,
     label_to_index,
@@ -64,10 +65,6 @@ from .paulis import (
 #: clamped; so are weights above 1 plus this, unless the input was admitted
 #: as non-physical.
 NEGATIVE_WEIGHT_TOL = 1e-6
-
-#: Largest qubit count of a model built from labels or read from a file: its
-#: probability vector holds 4**n doubles, 128 MiB at 12 qubits.
-MAX_MODEL_QUBITS = 12
 
 #: Imaginary parts and sub-zero dips up to this size are clamped away.
 DEFAULT_CLAMP_TOL = 1e-9
@@ -294,22 +291,23 @@ def pauli_coefficients(
     u_err: np.ndarray,
     *,
     norm_dim: int | None = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> dict[str, complex]:
     """Pauli amplitudes ``u_P = Tr(P u_err) / norm_dim`` for every string ``P``.
 
     For a unitary on the full space the squared magnitudes sum to 1
     (completeness of the basis). ``norm_dim`` defaults to the matrix
     dimension; blocks embedded in larger spaces keep their own dimension.
+    The labels come from :func:`pauli_basis`, so its cap applies.
     """
     m = np.asarray(u_err, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square operator, got shape {m.shape}")
-    n = check_qubits(qubit_count(m.shape[0]), max_qubits)
+    n = qubit_count(m.shape[0])
+    labels = pauli_basis(n)
     amp = _amplitudes(m, n)
     if norm_dim is not None and norm_dim != m.shape[0]:
         amp = amp * (m.shape[0] / norm_dim)
-    return dict(zip(pauli_basis(n, max_qubits=max_qubits), amp.tolist()))
+    return dict(zip(labels, amp.tolist()))
 
 
 def pauli_coefficient_via_bitstrings(
@@ -362,20 +360,17 @@ def error_channel(
     return compose(s, lift_unitary(u0.conj().T, allow_nonunitary=True))
 
 
-def coefficient_matrix(
-    s: np.ndarray,
-    *,
-    max_qubits: int = DEFAULT_SUPEROP_MAX_QUBITS,
-) -> np.ndarray:
+def coefficient_matrix(s: np.ndarray) -> np.ndarray:
     """Full Pauli-pair coefficient matrix ``w[P, Q] = <kron(P, Q.conj()), s>``.
 
     One per-qubit transform over the ``2n`` index pairs of ``s``, at cost
     ``O(n 16**n)`` instead of ``16**n`` traces. For the lift of a unitary with
-    amplitudes ``u``, ``w = outer(u, u.conj())``.
+    amplitudes ``u``, ``w = outer(u, u.conj())``. The result is the size of
+    ``s``, so there is no cap beyond the input's own.
     """
     s = np.asarray(s, dtype=complex)
     _, d = superoperator_dims(s)
-    n = check_qubits(qubit_count(d), max_qubits)
+    n = qubit_count(d)
     # s[(i,k),(j,l)] pairs (i_q, j_q) for P. Q is Hermitian, so
     # Q[k,l] = conj(Q[l,k]) and pairing (l_q, k_q) lets the same conjugated
     # map serve Q as well.
@@ -387,7 +382,6 @@ def diagonal_weights_via_fidelity(
     s: np.ndarray,
     *,
     imag_tol: float = DEFAULT_CLAMP_TOL,
-    max_qubits: int = DEFAULT_SUPEROP_MAX_QUBITS,
 ) -> dict[str, float]:
     """Diagonal weights ``w_PP`` computed through the entanglement-fidelity
     reduction, one Pauli string at a time.
@@ -397,7 +391,7 @@ def diagonal_weights_via_fidelity(
     kept distinct so they can cross-check each other.
     """
     s = np.asarray(s, dtype=complex)
-    diag = pauli_pair_diagonal(s, max_qubits=max_qubits)
+    diag = pauli_pair_diagonal(s)
     max_imag = float(np.max(np.abs(diag.imag)))
     if max_imag > imag_tol:
         raise PhysicalityError(
@@ -626,6 +620,31 @@ def leakage_project_channel(
     return block, float(np.clip(leak, 0.0, 1.0))
 
 
+def _extract_from_errors(
+    errs: np.ndarray,
+    weights: np.ndarray,
+    leakage: LeakageSpec | None,
+    clamp_tol: float,
+    allow_nonphysical: bool,
+) -> ExtractionResult:
+    """Shared tail of the unitary and ensemble routes, from the members'
+    errors ``errs`` (``K x D x D``) and their weights.
+
+    Each error is projected onto the computational block when ``leakage`` is
+    given (the leakage weight is ``sum_k p_k leak_k``) and expanded into
+    amplitudes. Memory is ``O(K 4**n)``, no more than the input already
+    holds, so the cap is that of the model: ``MAX_MODEL_QUBITS``.
+    """
+    leak = 0.0
+    if leakage is not None:
+        blocks, leaks = zip(*(leakage_project(e, leakage, tol=clamp_tol) for e in errs))
+        errs = np.stack(blocks)
+        leak = float(weights @ np.array(leaks))
+    n = check_qubits(qubit_count(errs.shape[1]), MAX_MODEL_QUBITS)
+    amplitudes = np.stack([_amplitudes(e, n) for e in errs])
+    return _result_from_amplitudes(amplitudes, weights, leak, clamp_tol, allow_nonphysical)
+
+
 def extract_from_unitary(
     u: np.ndarray,
     target: np.ndarray | None = None,
@@ -634,7 +653,6 @@ def extract_from_unitary(
     unitarity_tol: float = DEFAULT_UNITARITY_TOL,
     clamp_tol: float = DEFAULT_CLAMP_TOL,
     allow_nonunitary: bool = False,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> ExtractionResult:
     """Extract the closest Pauli channel to the error of a unitary gate.
 
@@ -655,13 +673,7 @@ def extract_from_unitary(
     err = error_unitary(
         u, target, unitarity_tol=unitarity_tol, allow_nonunitary=allow_nonunitary
     )
-    leak = 0.0
-    if leakage is not None:
-        err, leak = leakage_project(err, leakage, tol=clamp_tol)
-    n = check_qubits(qubit_count(err.shape[0]), max_qubits)
-    return _result_from_amplitudes(
-        _amplitudes(err, n)[None, :], np.ones(1), leak, clamp_tol, allow_nonunitary
-    )
+    return _extract_from_errors(err[None], np.ones(1), leakage, clamp_tol, allow_nonunitary)
 
 
 def extract_from_ensemble(
@@ -673,18 +685,16 @@ def extract_from_ensemble(
     physicality_tol: float = DEFAULT_PHYSICALITY_TOL,
     clamp_tol: float = DEFAULT_CLAMP_TOL,
     allow_nonphysical: bool = False,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> ExtractionResult:
     """Extract the closest Pauli channel to the error of a weighted unitary
     ensemble, without forming its superoperator.
 
     Gives the model of ``extract_from_channel(average_channel(members),
-    target)``: each member's error ``E_k = U_k U0^dag`` is projected onto the
-    computational block when ``leakage`` is given (the leakage weight is
-    ``sum_k p_k leak_k``) and expanded into amplitudes ``a_k``, and the
-    mixture's coefficient matrix ``sum_k p_k a_k a_k^dag`` is never built.
-    Time is ``O(K n 4**n + K**2 4**n)`` and memory ``O(K 4**n)``, so the
-    unitary cap applies. The members are validated as by
+    target)``: each member's error ``E_k = U_k U0^dag`` is expanded into
+    amplitudes ``a_k``, and the mixture's coefficient matrix
+    ``sum_k p_k a_k a_k^dag`` is never built. Time is
+    ``O(K n 4**n + K**2 4**n)`` and memory ``O(K 4**n)``, so the model cap
+    applies, as on the unitary route. The members are validated as by
     :func:`average_channel`, and trace preservation of the mixture is
     enforced within ``physicality_tol`` unless ``allow_nonphysical`` is set.
     """
@@ -710,14 +720,7 @@ def extract_from_ensemble(
                 f"channel is not trace preserving (defect {trace_dev:.3e}); pass "
                 "allow_nonphysical to extract diagnostics anyway"
             )
-    leak = 0.0
-    if leakage is not None:
-        blocks, leaks = zip(*(leakage_project(e, leakage, tol=clamp_tol) for e in errs))
-        errs = np.stack(blocks)
-        leak = float(weights @ np.array(leaks))
-    n = check_qubits(qubit_count(errs.shape[1]), max_qubits)
-    amplitudes = np.stack([_amplitudes(e, n) for e in errs])
-    return _result_from_amplitudes(amplitudes, weights, leak, clamp_tol, allow_nonphysical)
+    return _extract_from_errors(errs, weights, leakage, clamp_tol, allow_nonphysical)
 
 
 def extract_from_channel(
@@ -729,7 +732,6 @@ def extract_from_channel(
     physicality_tol: float = DEFAULT_PHYSICALITY_TOL,
     clamp_tol: float = DEFAULT_CLAMP_TOL,
     allow_nonphysical: bool = False,
-    max_qubits: int = DEFAULT_SUPEROP_MAX_QUBITS,
 ) -> ExtractionResult:
     """Extract the closest Pauli channel to the error of a channel ``s``.
 
@@ -742,8 +744,11 @@ def extract_from_channel(
     without the superoperator.
     """
     s = np.asarray(s, dtype=complex)
+    _, d = superoperator_dims(s)
+    # The cap is checked before the O(64**n) compose and the physicality
+    # checks; with leakage, only the computational block is expanded.
+    check_levels(d if leakage is None else leakage.comp_dim, DEFAULT_SUPEROP_MAX_QUBITS)
     err = s if target is None else error_channel(s, target, unitarity_tol=unitarity_tol)
-    superoperator_dims(err)
     if not allow_nonphysical:
         trace_dev = trace_preservation_defect(err)
         if trace_dev > physicality_tol:
@@ -760,7 +765,7 @@ def extract_from_channel(
     leak = 0.0
     if leakage is not None:
         err, leak = leakage_project_channel(err, leakage, tol=clamp_tol)
-    w = coefficient_matrix(err, max_qubits=max_qubits)
+    w = coefficient_matrix(err)
     model = _assemble_model(
         np.diagonal(w), leak, coherent_residual(w), clamp_tol, allow_nonphysical
     )

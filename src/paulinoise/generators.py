@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionError
 from .paulis import (
     DEFAULT_MAX_QUBITS,
+    DEFAULT_SUPEROP_MAX_QUBITS,
     DEFAULT_UNITARITY_TOL,
     check_qubits,
     pauli_matrix,
@@ -85,15 +86,17 @@ def pauli_channel(
 ) -> np.ndarray:
     """Superoperator ``sum_P e_P kron(P, P.conj())`` of a stochastic Pauli channel.
 
-    All labels must share one qubit count; missing labels mean probability 0.
-    The probabilities must be nonnegative and sum to 1 within ``simplex_tol``.
+    All labels must share one qubit count, at most
+    ``DEFAULT_SUPEROP_MAX_QUBITS`` so that the channel can be extracted again;
+    missing labels mean probability 0. The probabilities must be nonnegative
+    and sum to 1 within ``simplex_tol``.
     """
     if not probabilities:
         raise DimensionError("probability mapping is empty")
     lengths = {len(validate_label(lab)) for lab in probabilities}
     if len(lengths) != 1:
         raise DimensionError("probability mapping mixes labels of different lengths")
-    n = lengths.pop()
+    n = check_qubits(lengths.pop(), DEFAULT_SUPEROP_MAX_QUBITS)
     values = np.array([float(v) for v in probabilities.values()])
     if np.any(~np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("probabilities must be finite and nonnegative")

@@ -47,9 +47,9 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, ModelFormatError
-from .extraction import MAX_MODEL_QUBITS, ModelDiagnostics, PauliNoiseModel
+from .extraction import ModelDiagnostics, PauliNoiseModel
 from .generators import EnsembleMember
-from .paulis import label_to_index, pauli_labels, pauli_qubit_count
+from .paulis import MAX_MODEL_QUBITS, label_to_index, pauli_labels, pauli_qubit_count
 # pauli_basis is unused here but stays importable from this module, because
 # the traced benchmark run (bench/tracing.py) rebinds model_io.pauli_basis.
 from .paulis import pauli_basis  # noqa: F401

@@ -33,9 +33,25 @@ PAULI_ALPHABET = "IXYZ"
 _DIGITS = str.maketrans(PAULI_ALPHABET, "0123")
 _LETTERS = np.frombuffer(PAULI_ALPHABET.encode("ascii"), dtype=np.uint8)
 
-#: Default cap on label enumeration and on the unitary route; label lists
-#: and models hold ``4**n`` entries.
+# Qubit caps, each checked once where a size enters the package. Only
+# ``random_unitary(max_qubits=)`` lets a caller raise one.
+
+#: Bounds :func:`pauli_basis` (a list of ``4**n`` labels) and a typed qubit
+#: count in :func:`paulinoise.generators.random_unitary` by default.
 DEFAULT_MAX_QUBITS = 6
+
+#: Bounds every dense superoperator (``16**n`` complex entries, 16 MiB at 5
+#: qubits): the channel route, ``pauli_channel``, ``channel_from_oracle``,
+#: ``pauli_pair_diagonal`` and ``--full-coeffs`` files.
+DEFAULT_SUPEROP_MAX_QUBITS = 5
+
+#: Bounds a model's probability vector (``4**n`` doubles, 128 MiB at 12
+#: qubits): the unitary and ensemble routes and models built or read back;
+#: halved, it bounds ``lift_unitary``, whose ``16**n`` entries match the vector.
+MAX_MODEL_QUBITS = 12
+
+#: Bounds :func:`pauli_labels`: a 31-qubit index still fits in int64.
+MAX_LABEL_QUBITS = 31
 
 #: Default tolerance for unitarity checks on numerical inputs.
 DEFAULT_UNITARITY_TOL = 1e-9
@@ -60,6 +76,16 @@ def check_qubits(n: int, cap: int) -> int:
             f"qubit count {n} is outside the supported range [1, {cap}]"
         )
     return n
+
+
+def check_levels(dim: int, cap: int) -> None:
+    """Raise :class:`SizeLimitError` unless ``dim`` levels fit in ``cap``
+    qubits. ``dim`` need not be a power of 2, so a space with leakage levels
+    is held to the same cap."""
+    if dim > 2**cap:
+        raise SizeLimitError(
+            f"dimension {dim} exceeds the supported {2**cap} levels ({cap} qubits)"
+        )
 
 
 def validate_label(label: str) -> str:
@@ -101,9 +127,9 @@ def pauli_labels(indices: np.ndarray, n: int) -> list[str]:
     The one place labels are built in bulk: each index is split into its
     base-4 digits at once and the digits are read as letters, so the cost is
     a few array passes plus one slice per label. Indices must lie in
-    ``[0, 4**n)``; ``n`` is limited to 31 so that indices fit in int64.
+    ``[0, 4**n)``, and ``n`` in ``[1, MAX_LABEL_QUBITS]``.
     """
-    check_qubits(n, 31)
+    check_qubits(n, MAX_LABEL_QUBITS)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= 4**n):
         raise ValueError(f"indices must lie in [0, {4**n}) for {n} qubit(s)")
@@ -112,13 +138,13 @@ def pauli_labels(indices: np.ndarray, n: int) -> list[str]:
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 
-def pauli_basis(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> list[str]:
+def pauli_basis(n: int) -> list[str]:
     """All ``4**n`` Pauli string labels on ``n`` qubits, in index order.
 
     The first label is the identity string ``"I" * n``. Qubit counts above
-    ``max_qubits`` are rejected to keep dense enumeration affordable.
+    ``DEFAULT_MAX_QUBITS`` are rejected to keep dense enumeration affordable.
     """
-    check_qubits(n, max_qubits)
+    check_qubits(n, DEFAULT_MAX_QUBITS)
     return pauli_labels(np.arange(4**n), n)
 
 

@@ -247,6 +247,29 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    # A NaN tolerance would pass the unitarity check of a projector (every
+    # comparison with NaN is false), and a negative one fails exact inputs.
+    proj = tmp_path / "proj.json"
+    write_matrix_file(proj, np.diag([np.sqrt(2.0), 0.0]), KIND_OPERATOR)
+    ez = tmp_path / "ez.json"
+    assert run_cli(["gen", "ez", "--epsilon", "0", "-o", str(ez)]) == 0
+    capsys.readouterr()
+    for tol in ("nan", "-1", "inf", "abc"):
+        for argv in (
+            ["extract", "--unitary", str(proj)],
+            ["extract", "--unitary", str(ez)],
+            ["extract-channel", "--channel", str(ez)],
+            ["avg-extract", "--weights", str(ez)],
+            ["distance", str(ez), str(ez)],
+        ):
+            assert run_cli(argv + ["--tol", tol]) == 2
+            assert "--tol" in capsys.readouterr().err
+    assert run_cli(["extract", "--unitary", str(ez), "--tol", "0"]) == 0
+    assert run_cli(["distance", str(ez), str(ez), "--tol", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_nonunitary_operator_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     model_path = tmp_path / "model.json"
@@ -313,8 +336,6 @@ def test_seven_qubit_model_reads_back(tmp_path):
             "extract",
             "--unitary",
             str(unitary),
-            "--max-qubits",
-            "7",
             "-o",
             str(model_path),
             "--stim",
