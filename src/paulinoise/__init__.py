@@ -12,17 +12,13 @@ stochastic-noise simulators as a chain of correlated-error instructions.
 __version__ = "0.1.0"
 
 from .channels import (
-    PhysicalityReport,
-    adjoint_channel,
     channel_distance,
     channel_from_oracle,
-    check_physicality,
     compose,
     devectorize,
     entanglement_fidelity,
     hermiticity_defect,
     lift_unitary,
-    pauli_pair_diagonal,
     trace_preservation_defect,
     vectorize,
 )
@@ -40,7 +36,6 @@ from .extraction import (
     PauliNoiseModel,
     coefficient_matrix,
     coherent_residual,
-    diagonal_weights_via_fidelity,
     error_channel,
     error_unitary,
     extract_from_channel,
@@ -49,7 +44,6 @@ from .extraction import (
     leakage_project,
     leakage_project_channel,
     nearest_pauli_channel,
-    pauli_coefficient_via_bitstrings,
     pauli_coefficients,
 )
 from .generators import (
@@ -96,20 +90,16 @@ __all__ = [
     "PauliNoiseError",
     "PauliNoiseModel",
     "PhysicalityError",
-    "PhysicalityReport",
     "SizeLimitError",
     "__version__",
-    "adjoint_channel",
     "average_channel",
     "chain_to_probabilities",
     "channel_distance",
     "channel_from_oracle",
-    "check_physicality",
     "coefficient_matrix",
     "coherent_residual",
     "compose",
     "devectorize",
-    "diagonal_weights_via_fidelity",
     "entanglement_fidelity",
     "error_channel",
     "error_unitary",
@@ -128,11 +118,9 @@ __all__ = [
     "overrotated_cz",
     "pauli_basis",
     "pauli_channel",
-    "pauli_coefficient_via_bitstrings",
     "pauli_coefficients",
     "pauli_labels",
     "pauli_matrix",
-    "pauli_pair_diagonal",
     "qubit_count",
     "random_unitary",
     "read_coefficient_file",

@@ -1,4 +1,5 @@
-"""Dense superoperators: construction, composition, fidelity, and distance.
+"""Dense superoperators: construction, composition, fidelity, distance, and
+the trace and hermiticity defects that judge physicality.
 
 A channel ``C`` on a ``D``-dimensional system is stored as the ``D^2 x D^2``
 complex matrix ``S`` that acts on row-major vectorized operators::
@@ -13,7 +14,10 @@ string pairs ``(P, Q)`` an orthonormal basis of channel space. Every
 coefficient, fidelity, and distance in this package is expressed in that
 basis and metric; in particular :func:`channel_distance` counts both
 off-diagonal cross terms ``(P, Q)`` and ``(Q, P)`` separately, as any
-entrywise norm must.
+entrywise norm must. Because the basis is orthonormal, the total weight
+``sum_PQ |w_PQ|^2`` of a channel's coefficients is ``||S||_F^2 / D^2``
+(Parseval), so the channel route in :mod:`paulinoise.extraction` reads it
+off the superoperator without forming the coefficients.
 
 Dimension caps: dense superoperator construction is capped at
 ``DEFAULT_SUPEROP_MAX_QUBITS`` qubits because memory grows as ``16**n``, and
@@ -23,7 +27,6 @@ in :mod:`paulinoise.paulis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,9 +37,6 @@ from .paulis import (
     DEFAULT_UNITARITY_TOL,
     MAX_MODEL_QUBITS,
     check_levels,
-    check_qubits,
-    pauli_basis,
-    pauli_matrix,
     qubit_count,
     require_unitary,
 )
@@ -138,17 +138,6 @@ def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return outer @ inner
 
 
-def adjoint_channel(s: np.ndarray) -> np.ndarray:
-    """Adjoint (conjugate transpose) of a superoperator.
-
-    For a unitary lift this is the lift of the inverse, and the Pauli-pair
-    coefficients of the adjoint are the conjugates of the original's.
-    """
-    s = np.asarray(s, dtype=complex)
-    superoperator_dims(s)
-    return s.conj().T
-
-
 def entanglement_fidelity(
     s: np.ndarray,
     *,
@@ -215,68 +204,3 @@ def hermiticity_defect(s: np.ndarray) -> float:
     _, d = superoperator_dims(s)
     t = s.reshape(d, d, d, d)
     return float(np.max(np.abs(t - t.transpose(1, 0, 3, 2).conj())))
-
-
-def pauli_pair_diagonal(s: np.ndarray) -> np.ndarray:
-    """Diagonal Pauli-pair coefficients ``<kron(P, P.conj()), s>`` for every
-    Pauli string ``P``, in basis index order.
-
-    Computed one string at a time through the same index reduction as
-    :func:`entanglement_fidelity` applied to ``P``-twirled channels, without
-    building the full coefficient matrix:
-
-    ``w_P = (1 / D^2) sum_{a,b,c,e} P[a, c] s[(c, e), (a, b)] P[e, b]``
-
-    The Pauli matrices are stacked from :func:`pauli_matrix` on every call,
-    so this oracle shares no code with the per-qubit transform behind
-    ``coefficient_matrix``. The result is complex; hermiticity-preserving
-    channels have real entries.
-    """
-    s = np.asarray(s, dtype=complex)
-    d2, d = superoperator_dims(s)
-    n = check_qubits(qubit_count(d), DEFAULT_SUPEROP_MAX_QUBITS)
-    stack = np.stack([pauli_matrix(label) for label in pauli_basis(n)])
-    t = s.reshape(d, d, d, d)
-    return np.einsum("pac,ceab,peb->p", stack, t, stack, optimize=True) / d2
-
-
-@dataclass(frozen=True)
-class PhysicalityReport:
-    """Outcome of :func:`check_physicality` with the measured defects."""
-
-    trace_preserving: bool
-    hermiticity_preserving: bool
-    diagonal_weights_real: bool
-    trace_defect: float
-    hermiticity_defect: float
-    max_diagonal_imag: float
-    tol: float
-
-    def all_ok(self) -> bool:
-        return (
-            self.trace_preserving
-            and self.hermiticity_preserving
-            and self.diagonal_weights_real
-        )
-
-
-def check_physicality(
-    s: np.ndarray,
-    tol: float = DEFAULT_PHYSICALITY_TOL,
-) -> PhysicalityReport:
-    """Report trace preservation, hermiticity preservation, and realness of
-    the diagonal Pauli-pair weights, each judged against ``tol``."""
-    s = np.asarray(s, dtype=complex)
-    trace_dev = trace_preservation_defect(s)
-    herm_dev = hermiticity_defect(s)
-    diag = pauli_pair_diagonal(s)
-    max_imag = float(np.max(np.abs(diag.imag)))
-    return PhysicalityReport(
-        trace_preserving=trace_dev <= tol,
-        hermiticity_preserving=herm_dev <= tol,
-        diagonal_weights_real=max_imag <= tol,
-        trace_defect=trace_dev,
-        hermiticity_defect=herm_dev,
-        max_diagonal_imag=max_imag,
-        tol=tol,
-    )

@@ -6,11 +6,15 @@ unitary ensemble) and its intended target, the workflow is:
 1. Form the residual error: ``U_err = U @ U0^dag`` for unitaries (one per
    member for an ensemble), or ``S_err = S @ lift_unitary(U0^dag)`` for
    channels.
-2. Expand the error in the Pauli-string basis. For a unitary the amplitudes
-   ``u_P = <P, U_err>`` fully determine the channel coefficients through
-   ``w_PQ = u_P u_Q^*``, and an ensemble with weights ``p_k`` has
-   ``w = sum_k p_k a_k a_k^dag`` over its members' amplitudes ``a_k``; for a
-   superoperator the coefficients ``w_PQ`` are read out directly.
+2. Expand the error in the Pauli-string basis, as far as the model needs:
+   the diagonal ``w_PP`` and the total weight ``sum_PQ |w_PQ|^2``. For a
+   unitary the amplitudes ``u_P = <P, U_err>`` fully determine the channel
+   coefficients through ``w_PQ = u_P u_Q^*``, and an ensemble with weights
+   ``p_k`` has ``w = sum_k p_k a_k a_k^dag`` over its members' amplitudes
+   ``a_k``; both numbers follow from the amplitudes. For a superoperator the
+   diagonal is one per-qubit reduction of ``S_err`` and the total is
+   ``||S_err||_F^2 / D^2`` (Parseval). The full matrix ``w`` is built only
+   on request.
 3. The diagonal weights ``w_PP``, clamped to probabilities, form the Pauli
    channel with the smallest Frobenius distance to the error channel. The
    off-diagonal weight that no Pauli channel can reproduce is reported as the
@@ -28,7 +32,7 @@ that is lost to (and from) the leaked levels is reported separately as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +41,6 @@ from .channels import (
     compose,
     hermiticity_defect,
     lift_unitary,
-    pauli_pair_diagonal,
     superoperator_dims,
     trace_preservation_defect,
 )
@@ -47,6 +50,7 @@ from .paulis import (
     DEFAULT_SUPEROP_MAX_QUBITS,
     DEFAULT_UNITARITY_TOL,
     MAX_MODEL_QUBITS,
+    _DIAG_MAP,
     _pauli_transform,
     check_levels,
     check_qubits,
@@ -54,7 +58,6 @@ from .paulis import (
     label_to_index,
     pauli_basis,
     pauli_labels,
-    pauli_matrix,
     pauli_qubit_count,
     qubit_count,
     require_unitary,
@@ -75,8 +78,8 @@ class ModelDiagnostics:
     """Secondary quantities recorded alongside the extracted probabilities.
 
     ``coherent_residual_sq`` and ``distance_to_source`` are ``None`` when the
-    model was assembled from diagonal weights alone; they require the full
-    coefficient matrix (or the unitary amplitudes) of the source channel.
+    model was assembled from diagonal weights alone; they also require the
+    total weight ``sum_PQ |w_PQ|^2`` of the source channel's coefficients.
     """
 
     identity_prob: float
@@ -228,15 +231,16 @@ class LeakageSpec:
 class ExtractionResult:
     """A model plus the expansion data it was derived from.
 
-    ``weights`` holds the full coefficient matrix when it was materialized
-    (channel route). The unitary and ensemble routes record instead the
-    error amplitudes of each member (one row per member, basis index order)
-    and the member weights ``mixture``; :meth:`weight_matrix` rebuilds the
-    coefficient matrix ``sum_k p_k a_k a_k^dag`` from them on demand.
+    The channel route records the error superoperator ``channel`` (the
+    computational block with leakage). The unitary and ensemble routes record
+    instead the error amplitudes of each member (one row per member, basis
+    index order) and the member weights ``mixture``. :meth:`weight_matrix`
+    builds the coefficient matrix from either on demand: ``coefficient_matrix
+    (channel)``, or ``sum_k p_k a_k a_k^dag``.
     """
 
     model: PauliNoiseModel
-    weights: np.ndarray | None = None
+    channel: np.ndarray | None = None
     amplitudes: np.ndarray | None = None
     mixture: np.ndarray | None = None
 
@@ -249,8 +253,8 @@ class ExtractionResult:
         return dict(zip(labels, self.amplitudes[0].tolist()))
 
     def weight_matrix(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
+        if self.channel is not None:
+            return coefficient_matrix(self.channel)
         if self.amplitudes is None:
             raise ValueError("no expansion data recorded for this result")
         return (self.amplitudes.T * self.mixture) @ self.amplitudes.conj()
@@ -310,36 +314,6 @@ def pauli_coefficients(
     return dict(zip(labels, amp.tolist()))
 
 
-def pauli_coefficient_via_bitstrings(
-    label: str,
-    oracle: Callable[[np.ndarray], np.ndarray],
-) -> complex:
-    """Pauli amplitude of an error unitary available only as a state oracle.
-
-    ``oracle`` maps a computational basis state (length ``2**n`` vector) to
-    its image under the error unitary. The amplitude is recovered as the
-    average over all bitstrings ``b`` of ``<b| P U_err |b>``: prepare ``|b>``,
-    apply the unitary and then ``P``, and read the amplitude left on ``|b>``.
-    Agrees with :func:`pauli_coefficients` exactly.
-    """
-    validate_label(label)
-    n = len(label)
-    dim = 2**n
-    p = pauli_matrix(label)
-    total = 0.0 + 0.0j
-    state = np.zeros(dim, dtype=complex)
-    for b in range(dim):
-        state[b] = 1.0
-        evolved = np.asarray(oracle(state.copy()), dtype=complex)
-        if evolved.shape != (dim,):
-            raise DimensionError(
-                f"oracle returned shape {evolved.shape} for a length-{dim} state"
-            )
-        total += (p @ evolved)[b]
-        state[b] = 0.0
-    return complex(total / dim)
-
-
 def error_channel(
     s: np.ndarray,
     u0: np.ndarray,
@@ -378,28 +352,12 @@ def coefficient_matrix(s: np.ndarray) -> np.ndarray:
     return _pauli_transform(s, pairs).reshape(4**n, 4**n)
 
 
-def diagonal_weights_via_fidelity(
-    s: np.ndarray,
-    *,
-    imag_tol: float = DEFAULT_CLAMP_TOL,
-) -> dict[str, float]:
-    """Diagonal weights ``w_PP`` computed through the entanglement-fidelity
-    reduction, one Pauli string at a time.
-
-    Independent of :func:`coefficient_matrix` (no index regrouping, no full
-    matrix); the two routes agree within numerical precision and the pair is
-    kept distinct so they can cross-check each other.
-    """
-    s = np.asarray(s, dtype=complex)
-    diag = pauli_pair_diagonal(s)
-    max_imag = float(np.max(np.abs(diag.imag)))
-    if max_imag > imag_tol:
-        raise PhysicalityError(
-            f"diagonal weights have imaginary parts up to {max_imag:.3e}, beyond "
-            f"{imag_tol:g}; the channel is not hermiticity preserving"
-        )
-    labels = pauli_labels(np.arange(diag.size), pauli_qubit_count(diag.size))
-    return dict(zip(labels, diag.real.tolist()))
+def _channel_diagonal(s: np.ndarray, n: int) -> np.ndarray:
+    """Diagonal ``w_PP`` of :func:`coefficient_matrix` on ``n`` qubits without
+    the matrix: each qubit's index group ``(i_q, j_q, k_q, l_q)`` of
+    ``s[(i,k),(j,l)]`` reduces 16 -> 4 with ``_DIAG_MAP``, ``O(16**n)`` in all."""
+    groups = [(q, 2 * n + q, n + q, 3 * n + q) for q in range(n)]
+    return _pauli_transform(s, groups, _DIAG_MAP)
 
 
 def coherent_residual(w: np.ndarray) -> float:
@@ -412,20 +370,27 @@ def coherent_residual(w: np.ndarray) -> float:
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DimensionError(f"expected a square coefficient matrix, got {w.shape}")
-    total = float(np.sum(np.abs(w) ** 2))
-    diag = float(np.sum(np.abs(np.diagonal(w)) ** 2))
+    return _off_diagonal_sq(float(np.sum(np.abs(w) ** 2)), np.diagonal(w))
+
+
+def _off_diagonal_sq(total_sq: float, diag: np.ndarray) -> float:
+    """``sum_{P != Q} |w_PQ|^2`` from the total weight and the diagonal."""
     # Guard against cancellation returning a tiny negative zero.
-    return max(total - diag, 0.0)
+    return max(total_sq - float(np.sum(np.abs(diag) ** 2)), 0.0)
 
 
 def _assemble_model(
     diag: np.ndarray,
     leakage_weight: float,
-    residual_sq: float | None,
+    total_sq: float | None,
     clamp_tol: float,
     allow_nonphysical: bool = False,
 ) -> PauliNoiseModel:
     """Clamp diagonal weights into probabilities and attach diagnostics.
+
+    ``total_sq`` is the source channel's total weight ``sum_PQ |w_PQ|^2``;
+    with it the coherent residual and the distance to the source are
+    recorded, without it (``None``) both stay ``None``.
 
     Imaginary parts within ``clamp_tol`` are removed; larger ones are a
     physicality error. Real parts are clamped to ``[0, 1]``, but weights
@@ -460,10 +425,11 @@ def _assemble_model(
             "channel and are not clamped"
         )
     probs = np.clip(real, 0.0, 1.0)
-    mismatch_sq = float(np.sum(np.abs(diag - probs) ** 2))
-    distance = (
-        float(np.sqrt(residual_sq + mismatch_sq)) if residual_sq is not None else None
-    )
+    residual_sq = distance = None
+    if total_sq is not None:
+        residual_sq = _off_diagonal_sq(total_sq, diag)
+        mismatch_sq = float(np.sum(np.abs(diag - probs) ** 2))
+        distance = float(np.sqrt(residual_sq + mismatch_sq))
     diagnostics = ModelDiagnostics(
         identity_prob=float(probs[0]),
         coherent_residual_sq=residual_sq,
@@ -497,10 +463,9 @@ def _result_from_amplitudes(
     diag = mixture @ power
     gram = np.abs(amplitudes.conj() @ amplitudes.T) ** 2
     np.fill_diagonal(gram, power.sum(axis=1) ** 2)
-    # Guard against cancellation returning a tiny negative zero.
-    residual_sq = max(float(mixture @ gram @ mixture) - float(np.sum(diag**2)), 0.0)
+    total_sq = float(mixture @ gram @ mixture)
     model = _assemble_model(
-        diag.astype(complex), leakage_weight, residual_sq, clamp_tol, allow_nonphysical
+        diag.astype(complex), leakage_weight, total_sq, clamp_tol, allow_nonphysical
     )
     return ExtractionResult(model=model, amplitudes=amplitudes, mixture=mixture)
 
@@ -539,8 +504,8 @@ def nearest_pauli_channel(
     if arr.ndim == 2:
         if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"coefficient matrix must be square, got {arr.shape}")
-        residual_sq = coherent_residual(arr)
-        return _assemble_model(np.diagonal(arr), leakage_weight, residual_sq, clamp_tol)
+        total_sq = float(np.sum(np.abs(arr) ** 2))
+        return _assemble_model(np.diagonal(arr), leakage_weight, total_sq, clamp_tol)
     if arr.ndim == 1:
         return _assemble_model(arr, leakage_weight, None, clamp_tol)
     raise DimensionError(f"weights must be a matrix, vector, or mapping, got ndim={arr.ndim}")
@@ -765,8 +730,9 @@ def extract_from_channel(
     leak = 0.0
     if leakage is not None:
         err, leak = leakage_project_channel(err, leakage, tol=clamp_tol)
-    w = coefficient_matrix(err)
+    d2, d = superoperator_dims(err)
+    total_sq = float(np.vdot(err, err).real) / d2
     model = _assemble_model(
-        np.diagonal(w), leak, coherent_residual(w), clamp_tol, allow_nonphysical
+        _channel_diagonal(err, qubit_count(d)), leak, total_sq, clamp_tol, allow_nonphysical
     )
-    return ExtractionResult(model=model, weights=w)
+    return ExtractionResult(model=model, channel=err)

@@ -49,7 +49,13 @@ import numpy as np
 from .errors import DimensionError, ModelFormatError
 from .extraction import ModelDiagnostics, PauliNoiseModel
 from .generators import EnsembleMember
-from .paulis import MAX_MODEL_QUBITS, label_to_index, pauli_labels, pauli_qubit_count
+from .paulis import (
+    DEFAULT_SUPEROP_MAX_QUBITS,
+    MAX_MODEL_QUBITS,
+    label_to_index,
+    pauli_labels,
+    pauli_qubit_count,
+)
 # pauli_basis is unused here but stays importable from this module, because
 # the traced benchmark run (bench/tracing.py) rebinds model_io.pauli_basis.
 from .paulis import pauli_basis  # noqa: F401
@@ -136,13 +142,20 @@ def _finite_number(value: Any) -> float | None:
 
 
 def _pairs_to_matrix(
-    pairs: Any, rows: int, path: str | Path | None
+    pairs: Any, rows: int, path: str | Path | None, size_key: str
 ) -> np.ndarray:
+    """``rows x rows`` complex matrix from ``data`` pairs; ``size_key`` names
+    the header field that set ``rows``."""
     _require(isinstance(pairs, list), path, "'data' must be a list of [re, im] pairs")
+    expected = rows * rows
+    # A size field of hundreds of digits must not reach int-to-string
+    # conversion; no list in memory has 2**63 entries.
     _require(
-        len(pairs) == rows * rows,
+        len(pairs) == expected,
         path,
-        f"'data' has {len(pairs)} entries, expected {rows * rows}",
+        f"'data' has {len(pairs)} entries, expected {expected}"
+        if expected < 2**63
+        else f"'data' has {len(pairs)} entries, far fewer than {size_key!r} declares",
     )
     # One pass over the entry and item types, one conversion and one
     # finiteness test; the per-entry loop below runs only to name the first
@@ -257,7 +270,7 @@ def read_matrix_file(path: str | Path) -> MatrixDocument:
         f"'dim' must be an integer >= 2, got {dim!r}",
     )
     rows = dim if kind == KIND_OPERATOR else dim * dim
-    matrix = _pairs_to_matrix(doc.get("data"), rows, path)
+    matrix = _pairs_to_matrix(doc.get("data"), rows, path, "dim")
     return MatrixDocument(kind=kind, matrix=matrix, meta=_check_meta(doc.get("meta"), path))
 
 
@@ -311,7 +324,7 @@ def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
             path,
             f"'members[{i}].weight' must be a nonnegative number, got {raw.get('weight')!r}",
         )
-        matrix = _pairs_to_matrix(raw.get("data"), dim, path)
+        matrix = _pairs_to_matrix(raw.get("data"), dim, path, "dim")
         members.append(EnsembleMember(weight=weight, unitary=matrix))
     return members
 
@@ -340,16 +353,19 @@ def write_coefficient_file(
 
 
 def read_coefficient_file(path: str | Path) -> np.ndarray:
-    """Read a coefficient matrix document back into a complex array."""
+    """Read a coefficient matrix document back into a complex array; ``n`` is
+    held to ``DEFAULT_SUPEROP_MAX_QUBITS``, the cap under which one is written."""
     doc = _load_json(path)
     _check_header(doc, KIND_COEFFICIENTS, path)
     n = doc.get("n")
     _require(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+        isinstance(n, int)
+        and not isinstance(n, bool)
+        and 1 <= n <= DEFAULT_SUPEROP_MAX_QUBITS,
         path,
-        f"'n' must be a positive integer, got {n!r}",
+        f"'n' must be an integer in [1, {DEFAULT_SUPEROP_MAX_QUBITS}], got {n!r}",
     )
-    return _pairs_to_matrix(doc.get("data"), 4**n, path)
+    return _pairs_to_matrix(doc.get("data"), 4**n, path, "n")
 
 
 def model_to_document(

@@ -16,9 +16,9 @@ Conventions used consistently across the package:
   strings form an orthonormal family and the expansion coefficients of a
   unitary ``U`` are ``u_P = frobenius_inner(pauli_matrix(P), U)``.
 * Operator and superoperator expansions go through :func:`_pauli_transform`,
-  which applies one 4x4 map per qubit index pair instead of one trace per
-  string: ``O(n 4^n)`` for an operator, ``O(n 16^n)`` for a superoperator,
-  and no basis stack.
+  which applies one small map per qubit index group instead of one trace per
+  string: ``O(n 4^n)`` for an operator, ``O(n 16^n)`` for a superoperator's
+  coefficient matrix, ``O(16^n)`` for its diagonal alone, and no basis stack.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ DEFAULT_MAX_QUBITS = 6
 
 #: Bounds every dense superoperator (``16**n`` complex entries, 16 MiB at 5
 #: qubits): the channel route, ``pauli_channel``, ``channel_from_oracle``,
-#: ``pauli_pair_diagonal`` and ``--full-coeffs`` files.
+#: and coefficient matrix files, written by ``--full-coeffs`` or read back.
 DEFAULT_SUPEROP_MAX_QUBITS = 5
 
 #: Bounds a model's probability vector (``4**n`` doubles, 128 MiB at 12
@@ -67,6 +67,14 @@ _SINGLE = {
 #: qubit's flattened index pair ``(row, col)`` it yields that qubit's factor
 #: of ``Tr(P^dag m) / D``, and the halves multiply up to ``1 / D``.
 _PAIR_MAP = np.stack([_SINGLE[ch].conj().reshape(-1) for ch in PAULI_ALPHABET]) / 2
+
+#: Row ``a`` is ``outer(conj(p_a), p_a)`` flattened and quartered: contracted
+#: with one qubit's index group ``(i, j, k, l)`` of a superoperator
+#: ``s[(i, k), (j, l)]`` it yields that qubit's factor of the diagonal
+#: coefficient ``w_PP``, and the quarters multiply up to ``1 / D**2``.
+_DIAG_MAP = np.stack(
+    [np.outer(_SINGLE[ch].conj(), _SINGLE[ch]).reshape(-1) for ch in PAULI_ALPHABET]
+) / 4
 
 
 def check_qubits(n: int, cap: int) -> int:
@@ -181,23 +189,26 @@ def qubit_count(dim: int) -> int:
     return n
 
 
-def _pauli_transform(x: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Pauli expansion of ``x`` over qubit index pairs, in basis index order.
+def _pauli_transform(
+    x: np.ndarray, groups: list[tuple[int, ...]], pmap: np.ndarray = _PAIR_MAP
+) -> np.ndarray:
+    """Pauli expansion of ``x`` over groups of qubit indices, in basis index order.
 
-    ``x`` is read as ``2 * len(pairs)`` binary indices in row-major order.
-    Each entry of ``pairs`` names the positions of the row and the column
-    index of one Pauli factor, and contracting them with ``_PAIR_MAP`` turns
-    them into that factor's letter; factors appear in the result leftmost
-    first. An operator ``m[i, j]`` on ``n`` qubits pairs ``(i_q, j_q)`` and
-    gives ``Tr(P^dag m) / 2**n`` for every string ``P``.
+    ``x`` is read as binary indices in row-major order, ``len(pmap[0]) ==
+    2**len(group)`` of them per group. Each entry of ``groups`` names the
+    positions of the indices of one Pauli factor, and contracting them with
+    ``pmap`` turns them into that factor's letter; factors appear in the
+    result leftmost first. With ``_PAIR_MAP`` an operator ``m[i, j]`` on
+    ``n`` qubits pairs ``(i_q, j_q)`` and gives ``Tr(P^dag m) / 2**n`` for
+    every string ``P``; with ``_DIAG_MAP`` each group of four indices shrinks
+    to one letter, so every group divides the size by 4.
     """
-    k = len(pairs)
-    order = [axis for pair in pairs for axis in pair]
-    t = np.asarray(x).reshape((2,) * (2 * k)).transpose(order).reshape(4, -1)
-    for _ in range(k):
-        # Contract the leading factor and append its Pauli index last; after k
-        # steps the factors are back in their original order.
-        t = t.reshape(4, -1).T @ _PAIR_MAP.T
+    order = [axis for group in groups for axis in group]
+    t = np.asarray(x).reshape((2,) * len(order)).transpose(order)
+    for _ in groups:
+        # Contract the leading factor and append its Pauli index last; after
+        # every group the factors are back in their original order.
+        t = t.reshape(pmap.shape[1], -1).T @ pmap.T
     return t.reshape(-1)
 
 

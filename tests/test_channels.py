@@ -5,15 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import random_mixture
+from oracles import pauli_pair_diagonal
 
 from paulinoise import (
     DimensionError,
     PhysicalityError,
     SizeLimitError,
-    adjoint_channel,
     channel_distance,
     channel_from_oracle,
-    check_physicality,
     coefficient_matrix,
     compose,
     devectorize,
@@ -24,7 +23,6 @@ from paulinoise import (
     overrotated_cz,
     pauli_channel,
     pauli_matrix,
-    pauli_pair_diagonal,
     random_unitary,
     trace_preservation_defect,
     vectorize,
@@ -148,17 +146,17 @@ def test_compose_shape_errors():
 def test_adjoint_of_unitary_lift_is_inverse_lift():
     u = random_unitary(2, 21)
     np.testing.assert_allclose(
-        adjoint_channel(lift_unitary(u)), lift_unitary(u.conj().T), atol=1e-14
+        lift_unitary(u).conj().T, lift_unitary(u.conj().T), atol=1e-14
     )
 
 
 def test_adjoint_conjugates_coefficients():
-    # P kron Q.conj() is Hermitian, so <P kron Q.conj(), adjoint(S)> is the
+    # P kron Q.conj() is Hermitian, so <P kron Q.conj(), S^dag> is the
     # conjugate of <P kron Q.conj(), S> entry by entry. For a physical
     # channel w is Hermitian and the conjugate equals the transpose.
     s = random_mixture(1, 99)
     w = coefficient_matrix(s)
-    w_adj = coefficient_matrix(adjoint_channel(s))
+    w_adj = coefficient_matrix(s.conj().T)
     np.testing.assert_allclose(w_adj, w.conj(), atol=1e-12)
     np.testing.assert_allclose(w_adj, w.T, atol=1e-12)
 
@@ -196,7 +194,7 @@ def test_fidelity_of_adjoint_composition_is_inner_product():
         n = 1 + trial % 2
         phi = random_mixture(n, 100 + trial)
         chi = random_mixture(n, 200 + trial)
-        lhs = entanglement_fidelity(compose(adjoint_channel(phi), chi))
+        lhs = entanglement_fidelity(compose(phi.conj().T, chi))
         rhs = frobenius_inner(phi, chi)
         assert abs(lhs - rhs) < 1e-10
 
@@ -248,25 +246,23 @@ def test_preservation_defects():
     assert hermiticity_defect(lopsided) > 1e-3
 
 
-def test_pauli_pair_diagonal_identity_channel():
-    diag = pauli_pair_diagonal(np.eye(4, dtype=complex))
-    np.testing.assert_allclose(diag, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-
 def test_check_physicality_accepts_physical_channels():
-    report = check_physicality(pauli_channel({"I": 0.9, "Y": 0.1}))
-    assert report.all_ok()
-    assert report.trace_defect < 1e-12
-    report2 = check_physicality(random_mixture(2, 8))
-    assert report2.all_ok()
+    # The three physicality checks: trace and hermiticity preservation, and
+    # real diagonal Pauli-pair weights.
+    for s in (pauli_channel({"I": 0.9, "Y": 0.1}), random_mixture(2, 8)):
+        assert trace_preservation_defect(s) < 1e-12
+        assert hermiticity_defect(s) < 1e-12
+        assert np.max(np.abs(pauli_pair_diagonal(s).imag)) < 1e-12
 
 
 def test_check_physicality_flags_violations():
     not_tp = np.eye(4, dtype=complex) * 0.98
-    report = check_physicality(not_tp)
-    assert not report.trace_preserving
-    assert report.trace_defect > 1e-3
+    assert trace_preservation_defect(not_tp) > 1e-3
     not_hp = np.eye(4, dtype=complex)
     not_hp[0, 1] = 0.01
-    report2 = check_physicality(not_hp)
-    assert not report2.hermiticity_preserving
+    assert hermiticity_defect(not_hp) > 1e-3
+
+
+def test_pauli_pair_diagonal_identity_channel():
+    diag = pauli_pair_diagonal(np.eye(4, dtype=complex))
+    np.testing.assert_allclose(diag, [1.0, 0.0, 0.0, 0.0], atol=1e-15)

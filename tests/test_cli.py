@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
 import paulinoise
-import paulinoise.channels
 import paulinoise.cli
 import paulinoise.extraction
-import paulinoise.model_io
 import paulinoise.paulis
 from paulinoise import (
     average_channel,
@@ -361,6 +361,21 @@ def test_huge_integer_in_operator_data_exits_2(tmp_path, capsys):
     assert "data[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, argv",
+    [(KIND_OPERATOR, ["extract", "--unitary"]), (KIND_SUPEROPERATOR, ["extract-channel", "--channel"])],
+)
+def test_huge_dim_field_exits_2_naming_it(tmp_path, capsys, kind, argv):
+    # The expected entry count of a 1201-digit 'dim' has 2400 or 4800 digits;
+    # it must be neither printed nor sent through int-to-string conversion.
+    path = tmp_path / "m.json"
+    write_matrix_file(path, np.eye(2 if kind == KIND_OPERATOR else 4), kind)
+    path.write_text(path.read_text().replace('"dim": 2', '"dim": 1' + "0" * 1200))
+    assert run_cli([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "far fewer than 'dim' declares" in err and len(err) < 300
+
+
 def test_huge_integer_ensemble_weight_exits_2(tmp_path, capsys):
     path = tmp_path / "ensemble.json"
     write_ensemble_file(path, [EnsembleMember(1.0, np.eye(2))])
@@ -427,14 +442,39 @@ def test_avg_extract_builds_no_superoperator(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_extract_channel_builds_no_coefficient_matrix(tmp_path, monkeypatch, capsys):
+    # The channel route needs only the diagonal and the total weight; the
+    # 16**n matrix is built for --full-coeffs alone.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extract-channel must not build the coefficient matrix")
+
+    monkeypatch.setattr(paulinoise.extraction, "coefficient_matrix", forbidden)
+    ens = read_ensemble_file(_write_ensemble(tmp_path / "ensemble.json", 2, 3, 10))
+    chan = tmp_path / "chan.json"
+    write_matrix_file(chan, average_channel(ens), KIND_SUPEROPERATOR)
+    target = tmp_path / "target.json"
+    write_matrix_file(target, random_unitary(2, 11), KIND_OPERATOR)
+    argv = ["extract-channel", "--channel", str(chan), "--target", str(target),
+            "-o", str(tmp_path / "m.json"), "--stim", str(tmp_path / "c.stim")]
+    assert run_cli(argv) == 0
+    with pytest.raises(AssertionError, match="must not build"):
+        run_cli(argv + ["--full-coeffs", str(tmp_path / "w.json")])
+    capsys.readouterr()
+
+
 def test_extract_routes_enumerate_no_labels(tmp_path, monkeypatch, capsys):
     # Models are vectors: only the labels of written entries are made, through
     # pauli_labels, so no route needs the full label list.
     def forbidden(*args, **kwargs):
         raise AssertionError("an extract op must not enumerate all labels")
 
-    for module in (paulinoise, paulinoise.paulis, paulinoise.channels,
-                   paulinoise.extraction, paulinoise.model_io):
+    modules = [paulinoise] + [
+        importlib.import_module(f"paulinoise.{info.name}")
+        for info in pkgutil.iter_modules(paulinoise.__path__)
+    ]
+    bound = [module for module in modules if hasattr(module, "pauli_basis")]
+    assert paulinoise.paulis in bound and paulinoise.extraction in bound
+    for module in bound:
         monkeypatch.setattr(module, "pauli_basis", forbidden)
     unitary = tmp_path / "u.json"
     write_matrix_file(unitary, random_unitary(3, 4), KIND_OPERATOR)

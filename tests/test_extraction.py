@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import random_mixture
+from oracles import pauli_coefficient_via_bitstrings, pauli_pair_diagonal
 
 from paulinoise import (
     DimensionError,
@@ -15,7 +16,6 @@ from paulinoise import (
     channel_distance,
     coefficient_matrix,
     coherent_residual,
-    diagonal_weights_via_fidelity,
     entanglement_fidelity,
     error_channel,
     error_unitary,
@@ -28,7 +28,6 @@ from paulinoise import (
     overrotated_cz,
     pauli_basis,
     pauli_channel,
-    pauli_coefficient_via_bitstrings,
     pauli_coefficients,
     random_unitary,
     z_rotation,
@@ -181,17 +180,20 @@ def test_diagonal_weight_routes_agree():
     for n in (1, 2):
         s = random_mixture(n, 70 + n)
         w = coefficient_matrix(s)
-        via_fidelity = diagonal_weights_via_fidelity(s)
-        for i, lab in enumerate(pauli_basis(n)):
-            assert abs(w[i, i].real - via_fidelity[lab]) < 1e-10
+        via_fidelity = pauli_pair_diagonal(s)
+        for i in range(4**n):
+            assert abs(w[i, i].real - via_fidelity[i].real) < 1e-10
             assert abs(w[i, i].imag) < 1e-10
 
 
 def test_diagonal_weights_imag_guard():
+    # Admitted as non-physical, the channel still may not carry imaginary
+    # diagonal weights (0.0025 on I and Z here) into a model.
     not_hp = np.eye(4, dtype=complex)
     not_hp[0, 0] = 1.0 + 0.01j
-    with pytest.raises(PhysicalityError):
-        diagonal_weights_via_fidelity(not_hp)
+    np.testing.assert_allclose(pauli_pair_diagonal(not_hp).imag, [0.0025, 0, 0, 0.0025])
+    with pytest.raises(PhysicalityError, match="imaginary parts"):
+        extract_from_channel(not_hp, allow_nonphysical=True)
 
 
 def test_nearest_pauli_channel_from_z_rotation_matrix():
@@ -433,6 +435,11 @@ def test_extract_result_rebuilds_weight_matrix():
         result.weight_matrix(),
         coefficient_matrix(lift_unitary(z_rotation(0.1))),
         atol=1e-14,
+    )
+    s, u0 = random_mixture(2, 77), random_unitary(2, 78)
+    from_channel = extract_from_channel(s, u0)
+    np.testing.assert_array_equal(
+        from_channel.weight_matrix(), coefficient_matrix(error_channel(s, u0))
     )
 
 

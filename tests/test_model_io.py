@@ -290,6 +290,19 @@ def test_coefficient_file_round_trip(tmp_path):
         write_coefficient_file(None, np.eye(5))
 
 
+@pytest.mark.parametrize("n", [0, 6, 3_000_000])
+def test_coefficient_file_n_is_held_to_the_channel_cap(tmp_path, n):
+    # Checked before 4**n is formed: a huge n used to fail in Python's
+    # int-to-string conversion with a bare ValueError.
+    path = tmp_path / "w.json"
+    write_coefficient_file(path, np.eye(4))
+    doc = json.loads(path.read_text())
+    doc["n"] = n
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=r"'n' must be an integer in \[1, 5\]"):
+        read_coefficient_file(path)
+
+
 def test_chain_export_single_qubit_hand_values():
     model = nearest_pauli_channel(np.array([0.4, 0.1, 0.2, 0.3]))
     text = export_stim_chain(model)
