@@ -34,15 +34,12 @@ import numpy as np
 from .errors import DimensionError, PhysicalityError
 from .paulis import (
     DEFAULT_SUPEROP_MAX_QUBITS,
-    DEFAULT_UNITARITY_TOL,
+    DEFAULT_TOL,
     MAX_MODEL_QUBITS,
     check_levels,
     qubit_count,
     require_unitary,
 )
-
-#: Default tolerance for trace/hermiticity preservation and imaginary parts.
-DEFAULT_PHYSICALITY_TOL = 1e-9
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:
@@ -81,13 +78,13 @@ def superoperator_dims(s: np.ndarray) -> tuple[int, int]:
 def lift_unitary(
     u: np.ndarray,
     *,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    allow_nonunitary: bool = False,
+    tol: float = DEFAULT_TOL,
+    allow_nonphysical: bool = False,
 ) -> np.ndarray:
     """Superoperator of conjugation by ``u``: ``vec(u rho u^dag) = kron(u, u.conj()) vec(rho)``.
 
-    ``u`` must be unitary within ``unitarity_tol`` unless ``allow_nonunitary``
-    is set (useful for lifting non-unitary blocks for diagnostics). The lift
+    ``u`` must be unitary within ``tol`` unless ``allow_nonphysical`` is set
+    (useful for lifting non-unitary blocks for diagnostics). The lift
     of ``d`` levels holds ``d**4`` entries, so ``d`` is capped at
     ``2**(MAX_MODEL_QUBITS // 2)``: no more entries than the largest model.
     """
@@ -95,8 +92,8 @@ def lift_unitary(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square operator, got shape {u.shape}")
     check_levels(u.shape[0], MAX_MODEL_QUBITS // 2)
-    if not allow_nonunitary:
-        require_unitary(u, unitarity_tol, name="lift_unitary input")
+    if not allow_nonphysical:
+        require_unitary(u, tol, name="lift_unitary input")
     return np.kron(u, u.conj())
 
 
@@ -141,7 +138,7 @@ def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
 def entanglement_fidelity(
     s: np.ndarray,
     *,
-    imag_tol: float = DEFAULT_PHYSICALITY_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Entanglement fidelity of a channel with the identity.
 
@@ -155,10 +152,10 @@ def entanglement_fidelity(
     d2, d = superoperator_dims(s)
     qubit_count(d)
     value = complex(np.trace(s)) / d2
-    if abs(value.imag) > imag_tol:
+    if abs(value.imag) > tol:
         raise PhysicalityError(
             f"entanglement fidelity has imaginary part {value.imag:.3e}, beyond "
-            f"tolerance {imag_tol:g}; the channel is not hermiticity preserving"
+            f"tolerance {tol:g}; the channel is not hermiticity preserving"
         )
     return float(value.real)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     SizeLimitError,
 )
 from .extraction import (
-    DEFAULT_CLAMP_TOL,
     ExtractionResult,
     LeakageSpec,
     extract_from_channel,
@@ -54,7 +53,6 @@ from .model_io import (
     FORMAT_VERSION,
     KIND_OPERATOR,
     KIND_SUPEROPERATOR,
-    MatrixDocument,
     dump_json,
     export_stim_chain,
     model_to_document,
@@ -64,7 +62,7 @@ from .model_io import (
     write_matrix_file,
     write_model,
 )
-from .paulis import DEFAULT_MAX_QUBITS, DEFAULT_SUPEROP_MAX_QUBITS, validate_label
+from .paulis import DEFAULT_SUPEROP_MAX_QUBITS, DEFAULT_TOL, validate_label
 
 #: The part of ``--allow-nonphysical`` that all three extraction routes share;
 #: a negative weight is admitted on none of them.
@@ -91,7 +89,7 @@ def _add_common_extract_options(parser: argparse.ArgumentParser, admits: str) ->
     parser.add_argument(
         "--tol",
         type=_tolerance,
-        default=DEFAULT_CLAMP_TOL,
+        default=DEFAULT_TOL,
         help="unitarity/physicality/clamping tolerance (default %(default)g)",
     )
     parser.add_argument(
@@ -156,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distance.add_argument(
         "--tol",
         type=_tolerance,
-        default=DEFAULT_CLAMP_TOL,
+        default=DEFAULT_TOL,
         help="unitarity tolerance for operator inputs (default %(default)g)",
     )
     p_distance.add_argument(
@@ -185,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_rand = gen_sub.add_parser("random-unitary", help="seeded Haar-random unitary")
     g_rand.add_argument("--n", type=int, required=True, help="qubit count")
     g_rand.add_argument("--seed", type=int, required=True)
-    g_rand.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     g_rand.add_argument("-o", "--output", help="operator file to write (default: print)")
     g_rand.set_defaults(handler=_cmd_gen_random)
 
@@ -243,50 +240,69 @@ def _parse_probs(text: str) -> dict[str, float]:
     return out
 
 
-def _read_operator(path: str) -> MatrixDocument:
+def _read_matrix(path: str, kind: str) -> np.ndarray:
+    """The matrix of the operator or superoperator file at ``path``, which
+    must hold a document of ``kind``."""
     doc = read_matrix_file(path)
-    if doc.kind != KIND_OPERATOR:
-        raise ModelFormatError(f"{path}: expected an operator document, found {doc.kind!r}")
-    return doc
+    if doc.kind != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ModelFormatError(f"{path}: expected {article} {kind} document, found {doc.kind!r}")
+    return doc.matrix
 
 
-def _read_superoperator(path: str) -> MatrixDocument:
-    doc = read_matrix_file(path)
-    if doc.kind != KIND_SUPEROPERATOR:
-        raise ModelFormatError(
-            f"{path}: expected a superoperator document, found {doc.kind!r}"
+def _cmd_extract(args: argparse.Namespace) -> int:
+    u = _read_matrix(args.unitary, KIND_OPERATOR)
+    return _run_extraction(args, extract_from_unitary, u, u.shape[0], unitary=args.unitary)
+
+
+def _cmd_extract_channel(args: argparse.Namespace) -> int:
+    s = _read_matrix(args.channel, KIND_SUPEROPERATOR)
+    full_dim = int(round(np.sqrt(s.shape[0])))
+    return _run_extraction(args, extract_from_channel, s, full_dim, channel=args.channel)
+
+
+def _cmd_avg_extract(args: argparse.Namespace) -> int:
+    members = read_ensemble_file(args.weights)
+    full_dim = members[0].unitary.shape[0]
+    return _run_extraction(args, extract_from_ensemble, members, full_dim, weights=args.weights)
+
+
+def _run_extraction(
+    args: argparse.Namespace,
+    route: Callable[..., ExtractionResult],
+    source: Any,
+    full_dim: int,
+    **inputs: str,
+) -> int:
+    """The body every extraction command shares: ``route`` turns ``source``,
+    read from the file named in ``inputs``, into a model on ``full_dim``
+    physical levels, which is written with its provenance."""
+    target = _read_matrix(args.target, KIND_OPERATOR) if args.target else None
+    result = route(
+        source,
+        target,
+        leakage=_parse_leakage(args.leakage, full_dim),
+        tol=args.tol,
+        allow_nonphysical=args.allow_nonphysical,
+    )
+    model = result.model
+    # The coefficient file holds 16**n pairs, as a superoperator does: at
+    # n = 5 it is 72 MiB of JSON and takes ~0.5 GiB to write.
+    if args.full_coeffs and model.n > DEFAULT_SUPEROP_MAX_QUBITS:
+        raise SizeLimitError(
+            f"--full-coeffs writes 16**n coefficients; {model.n} qubits exceed "
+            f"its cap of {DEFAULT_SUPEROP_MAX_QUBITS}"
         )
-    return doc
-
-
-def _provenance(args: argparse.Namespace, **inputs: Any) -> dict[str, Any]:
-    record: dict[str, Any] = {
+    provenance = {
         "tool": "paulinoise",
         "tool_version": __version__,
         "command": args.command,
-        "inputs": inputs,
+        "inputs": {**inputs, "target": args.target},
         "tol": args.tol,
-        "floor": getattr(args, "floor", None),
-        "leakage": getattr(args, "leakage", None),
-        "allow_nonphysical": bool(getattr(args, "allow_nonphysical", False)),
+        "floor": args.floor,
+        "leakage": args.leakage,
+        "allow_nonphysical": args.allow_nonphysical,
     }
-    return record
-
-
-def _emit_extraction(
-    args: argparse.Namespace,
-    result: ExtractionResult,
-    provenance: dict[str, Any],
-) -> int:
-    model = result.model
-    if args.full_coeffs:
-        # The coefficient file holds 16**n pairs, as a superoperator does: at
-        # n = 5 it is 72 MiB of JSON and takes ~0.5 GiB to write.
-        if model.n > DEFAULT_SUPEROP_MAX_QUBITS:
-            raise SizeLimitError(
-                f"--full-coeffs writes 16**n coefficients; {model.n} qubits exceed "
-                f"its cap of {DEFAULT_SUPEROP_MAX_QUBITS}"
-            )
     strict = not args.allow_nonphysical
     text = write_model(
         args.output, model, floor=args.floor, provenance=provenance, strict=strict
@@ -310,67 +326,11 @@ def _emit_extraction(
     return 0
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    doc = _read_operator(args.unitary)
-    target = _read_operator(args.target).matrix if args.target else None
-    leakage = _parse_leakage(args.leakage, doc.matrix.shape[0])
-    result = extract_from_unitary(
-        doc.matrix,
-        target,
-        leakage=leakage,
-        unitarity_tol=args.tol,
-        clamp_tol=args.tol,
-        allow_nonunitary=args.allow_nonphysical,
-    )
-    provenance = _provenance(args, unitary=args.unitary, target=args.target)
-    return _emit_extraction(args, result, provenance)
-
-
-def _cmd_extract_channel(args: argparse.Namespace) -> int:
-    doc = _read_superoperator(args.channel)
-    target = _read_operator(args.target).matrix if args.target else None
-    full_dim = int(round(np.sqrt(doc.matrix.shape[0])))
-    leakage = _parse_leakage(args.leakage, full_dim)
-    result = extract_from_channel(
-        doc.matrix,
-        target,
-        leakage=leakage,
-        physicality_tol=args.tol,
-        unitarity_tol=args.tol,
-        clamp_tol=args.tol,
-        allow_nonphysical=args.allow_nonphysical,
-    )
-    provenance = _provenance(args, channel=args.channel, target=args.target)
-    return _emit_extraction(args, result, provenance)
-
-
-def _cmd_avg_extract(args: argparse.Namespace) -> int:
-    members = read_ensemble_file(args.weights)
-    target = _read_operator(args.target).matrix if args.target else None
-    full_dim = members[0].unitary.shape[0]
-    leakage = _parse_leakage(args.leakage, full_dim)
-    result = extract_from_ensemble(
-        members,
-        target,
-        leakage=leakage,
-        physicality_tol=args.tol,
-        unitarity_tol=args.tol,
-        clamp_tol=args.tol,
-        allow_nonphysical=args.allow_nonphysical,
-    )
-    provenance = _provenance(args, weights=args.weights, target=args.target)
-    return _emit_extraction(args, result, provenance)
-
-
 def _load_channel_for_distance(path: str, args: argparse.Namespace) -> np.ndarray:
     doc = read_matrix_file(path)
     if doc.kind == KIND_SUPEROPERATOR:
         return doc.matrix
-    return lift_unitary(
-        doc.matrix,
-        unitarity_tol=args.tol,
-        allow_nonunitary=args.allow_nonphysical,
-    )
+    return lift_unitary(doc.matrix, tol=args.tol, allow_nonphysical=args.allow_nonphysical)
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
@@ -420,7 +380,7 @@ def _cmd_gen_cz(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_random(args: argparse.Namespace) -> int:
-    matrix = random_unitary(args.n, args.seed, max_qubits=args.max_qubits)
+    matrix = random_unitary(args.n, args.seed)
     meta = {"generator": "random-unitary", "n": repr(args.n), "seed": repr(args.seed)}
     return _emit_matrix(args, matrix, KIND_OPERATOR, meta)
 

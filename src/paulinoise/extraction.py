@@ -27,6 +27,11 @@ Systems with leakage outside the computational subspace are handled by
 projecting the error onto the computational block first; the probability
 that is lost to (and from) the leaked levels is reported separately as
 ``leakage_weight`` and no renormalization is applied.
+
+Every route takes ``(input, target=None, *, leakage=None, tol=DEFAULT_TOL,
+allow_nonphysical=False)``. The one ``tol`` bounds every check on the way:
+unitarity, trace and hermiticity preservation, the leakage range, and the
+band ``[-tol, 1 + tol]`` within which diagonal weights are clamped.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .channels import (
-    DEFAULT_PHYSICALITY_TOL,
     compose,
     hermiticity_defect,
     lift_unitary,
@@ -48,7 +52,7 @@ from .errors import DimensionError, PhysicalityError
 from .generators import EnsembleMember, _ensemble_arrays
 from .paulis import (
     DEFAULT_SUPEROP_MAX_QUBITS,
-    DEFAULT_UNITARITY_TOL,
+    DEFAULT_TOL,
     MAX_MODEL_QUBITS,
     _DIAG_MAP,
     _pauli_transform,
@@ -63,15 +67,6 @@ from .paulis import (
     require_unitary,
     validate_label,
 )
-
-#: Diagonal weights below minus this are a hard error, never silently
-#: clamped; so are weights above 1 plus this, unless the input was admitted
-#: as non-physical.
-NEGATIVE_WEIGHT_TOL = 1e-6
-
-#: Imaginary parts and sub-zero dips up to this size are clamped away.
-DEFAULT_CLAMP_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ModelDiagnostics:
@@ -172,7 +167,7 @@ class PauliNoiseModel:
     def total_weight(self) -> float:
         return float(np.sum(self.probs) + self.leakage_weight + self.truncated_weight)
 
-    def validate(self, budget_tol: float = DEFAULT_PHYSICALITY_TOL) -> "PauliNoiseModel":
+    def validate(self, tol: float = DEFAULT_TOL) -> "PauliNoiseModel":
         """Check the probability budget; raises on violation, returns self."""
         outside = ~((self.probs >= 0.0) & (self.probs <= 1.0))
         if outside.any():
@@ -186,9 +181,9 @@ class PauliNoiseModel:
                 f"leakage weight {self.leakage_weight!r} is outside [0, 1]"
             )
         total = self.total_weight()
-        if abs(total - 1.0) > budget_tol:
+        if abs(total - 1.0) > tol:
             raise PhysicalityError(
-                f"probabilities plus leakage sum to {total!r}, not 1 within {budget_tol:g}"
+                f"probabilities plus leakage sum to {total!r}, not 1 within {tol:g}"
             )
         return self
 
@@ -264,13 +259,13 @@ def error_unitary(
     u: np.ndarray,
     u0: np.ndarray,
     *,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    allow_nonunitary: bool = False,
+    tol: float = DEFAULT_TOL,
+    allow_nonphysical: bool = False,
 ) -> np.ndarray:
     """Residual rotation ``u @ u0^dag`` of an implementation against its target.
 
     Equals the identity exactly when the gate is perfect. Both inputs must be
-    unitary within ``unitarity_tol`` unless ``allow_nonunitary`` is set.
+    unitary within ``tol`` unless ``allow_nonphysical`` is set.
     """
     u = np.asarray(u, dtype=complex)
     u0 = np.asarray(u0, dtype=complex)
@@ -280,9 +275,9 @@ def error_unitary(
         raise DimensionError(
             f"implementation {u.shape} and target {u0.shape} dimensions differ"
         )
-    if not allow_nonunitary:
-        require_unitary(u, unitarity_tol, name="implementation")
-        require_unitary(u0, unitarity_tol, name="target")
+    if not allow_nonphysical:
+        require_unitary(u, tol, name="implementation")
+        require_unitary(u0, tol, name="target")
     return u @ u0.conj().T
 
 
@@ -318,7 +313,7 @@ def error_channel(
     s: np.ndarray,
     u0: np.ndarray,
     *,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Residual channel of an implementation ``s`` against a unitary target:
     ``s`` composed after conjugation by ``u0^dag``."""
@@ -329,9 +324,9 @@ def error_channel(
         raise DimensionError(
             f"target shape {u0.shape} does not match the channel dimension {d}"
         )
-    require_unitary(u0, unitarity_tol, name="target")
+    require_unitary(u0, tol, name="target")
     # u0 was just validated; its adjoint needs no second check.
-    return compose(s, lift_unitary(u0.conj().T, allow_nonunitary=True))
+    return compose(s, lift_unitary(u0.conj().T, allow_nonphysical=True))
 
 
 def coefficient_matrix(s: np.ndarray) -> np.ndarray:
@@ -383,7 +378,7 @@ def _assemble_model(
     diag: np.ndarray,
     leakage_weight: float,
     total_sq: float | None,
-    clamp_tol: float,
+    tol: float,
     allow_nonphysical: bool = False,
 ) -> PauliNoiseModel:
     """Clamp diagonal weights into probabilities and attach diagnostics.
@@ -392,36 +387,35 @@ def _assemble_model(
     with it the coherent residual and the distance to the source are
     recorded, without it (``None``) both stay ``None``.
 
-    Imaginary parts within ``clamp_tol`` are removed; larger ones are a
+    Imaginary parts within ``tol`` are removed; larger ones are a
     physicality error. Real parts are clamped to ``[0, 1]``, but weights
-    below ``-NEGATIVE_WEIGHT_TOL`` are never clamped silently, and neither
-    are weights above ``1 + NEGATIVE_WEIGHT_TOL`` unless
-    ``allow_nonphysical`` is set: a weight above 1 is what a trace-increasing
-    input (a scaled unitary, a non-trace-preserving channel) produces, and
-    that flag admits such inputs, while a negative weight marks a map that is
-    not completely positive, which no flag admits.
+    below ``-tol`` are never clamped silently, and neither are weights above
+    ``1 + tol`` unless ``allow_nonphysical`` is set: a weight above 1 is what
+    a trace-increasing input (a scaled unitary, a non-trace-preserving
+    channel) produces, and that flag admits such inputs, while a negative
+    weight marks a map that is not completely positive, which no flag admits.
     """
     diag = np.asarray(diag, dtype=complex).reshape(-1)
     n = pauli_qubit_count(diag.size)
     max_imag = float(np.max(np.abs(diag.imag)))
-    if max_imag > clamp_tol:
+    if max_imag > tol:
         raise PhysicalityError(
             f"diagonal weights have imaginary parts up to {max_imag:.3e}, beyond "
-            f"the clamping tolerance {clamp_tol:g}"
+            f"the clamping tolerance {tol:g}"
         )
     real = diag.real
     worst = int(np.argmin(real))
-    if real[worst] < -NEGATIVE_WEIGHT_TOL:
+    if real[worst] < -tol:
         raise PhysicalityError(
             f"diagonal weight for {index_to_label(worst, n)} is {real[worst]:.6e}; "
-            f"weights below -{NEGATIVE_WEIGHT_TOL:g} indicate a non-physical channel "
+            f"weights below -{tol:g} indicate a non-physical channel "
             "and are not clamped"
         )
     top = int(np.argmax(real))
-    if real[top] > 1.0 + NEGATIVE_WEIGHT_TOL and not allow_nonphysical:
+    if real[top] > 1.0 + tol and not allow_nonphysical:
         raise PhysicalityError(
             f"diagonal weight for {index_to_label(top, n)} is {real[top]:.6e}; "
-            f"weights above 1 + {NEGATIVE_WEIGHT_TOL:g} indicate a non-physical "
+            f"weights above 1 + {tol:g} indicate a non-physical "
             "channel and are not clamped"
         )
     probs = np.clip(real, 0.0, 1.0)
@@ -447,7 +441,7 @@ def _result_from_amplitudes(
     amplitudes: np.ndarray,
     mixture: np.ndarray,
     leakage_weight: float,
-    clamp_tol: float,
+    tol: float,
     allow_nonphysical: bool,
 ) -> ExtractionResult:
     """Model of the channel ``w = sum_k p_k a_k a_k^dag`` from the rows ``a_k``
@@ -465,7 +459,7 @@ def _result_from_amplitudes(
     np.fill_diagonal(gram, power.sum(axis=1) ** 2)
     total_sq = float(mixture @ gram @ mixture)
     model = _assemble_model(
-        diag.astype(complex), leakage_weight, total_sq, clamp_tol, allow_nonphysical
+        diag.astype(complex), leakage_weight, total_sq, tol, allow_nonphysical
     )
     return ExtractionResult(model=model, amplitudes=amplitudes, mixture=mixture)
 
@@ -474,15 +468,16 @@ def nearest_pauli_channel(
     weights: np.ndarray | Mapping[str, complex],
     leakage_weight: float = 0.0,
     *,
-    clamp_tol: float = DEFAULT_CLAMP_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> PauliNoiseModel:
     """Project channel coefficients onto the closest Pauli channel.
 
     ``weights`` is either the full coefficient matrix (square, ``4**n`` on a
     side) or just its diagonal (a length ``4**n`` vector, or a mapping from
-    labels to weights on at most ``MAX_MODEL_QUBITS`` qubits). The model's probabilities are the real parts of the
-    diagonal, clamped to ``[0, 1]`` within ``clamp_tol``; among all Pauli
-    channels this choice minimizes the Frobenius distance to the source.
+    labels to weights on at most ``MAX_MODEL_QUBITS`` qubits). The model's
+    probabilities are the real parts of the diagonal, clamped to ``[0, 1]``
+    within ``tol``; among all Pauli channels this choice minimizes the
+    Frobenius distance to the source.
 
     With the full matrix available the diagnostics record the squared
     coherent residual and the exact distance to the source channel; with only
@@ -499,23 +494,43 @@ def nearest_pauli_channel(
         diag[[label_to_index(lab) for lab in weights]] = [
             complex(value) for value in weights.values()
         ]
-        return _assemble_model(diag, leakage_weight, None, clamp_tol)
+        return _assemble_model(diag, leakage_weight, None, tol)
     arr = np.asarray(weights, dtype=complex)
     if arr.ndim == 2:
         if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"coefficient matrix must be square, got {arr.shape}")
         total_sq = float(np.sum(np.abs(arr) ** 2))
-        return _assemble_model(np.diagonal(arr), leakage_weight, total_sq, clamp_tol)
+        return _assemble_model(np.diagonal(arr), leakage_weight, total_sq, tol)
     if arr.ndim == 1:
-        return _assemble_model(arr, leakage_weight, None, clamp_tol)
+        return _assemble_model(arr, leakage_weight, None, tol)
     raise DimensionError(f"weights must be a matrix, vector, or mapping, got ndim={arr.ndim}")
+
+
+def _leakage_in_range(leak: float, tol: float, source: str) -> float:
+    """``leak`` clipped to ``[0, 1]``; beyond ``tol`` outside that range the
+    input was not ``source`` on the full space."""
+    if not -tol <= leak <= 1.0 + tol:
+        raise PhysicalityError(
+            f"leakage weight {leak!r} is outside [0, 1] by more than {tol:g}; the "
+            f"input is not {source} on the full space"
+        )
+    return float(np.clip(leak, 0.0, 1.0))
+
+
+def _require_preserving(defect: float, tol: float, what: str) -> None:
+    """Raise unless an error channel's ``what``-preservation defect is within ``tol``."""
+    if defect > tol:
+        raise PhysicalityError(
+            f"channel is not {what} preserving (defect {defect:.3e}); pass "
+            "allow_nonphysical to extract diagnostics anyway"
+        )
 
 
 def leakage_project(
     u_full: np.ndarray,
     spec: LeakageSpec,
     *,
-    tol: float = DEFAULT_CLAMP_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, float]:
     """Restrict a unitary on the full physical space to the computational block.
 
@@ -536,20 +551,14 @@ def leakage_project(
     idx = np.array(spec.comp_indices)
     block = u[np.ix_(idx, idx)]
     retained = float(np.sum(np.abs(block) ** 2) / spec.comp_dim)
-    leak = 1.0 - retained
-    if not -tol <= leak <= 1.0 + tol:
-        raise PhysicalityError(
-            f"leakage weight {leak!r} is outside [0, 1] by more than {tol:g}; the "
-            "input is not a unitary on the full space"
-        )
-    return block, float(np.clip(leak, 0.0, 1.0))
+    return block, _leakage_in_range(1.0 - retained, tol, "a unitary")
 
 
 def leakage_project_channel(
     s_full: np.ndarray,
     spec: LeakageSpec,
     *,
-    tol: float = DEFAULT_CLAMP_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, float]:
     """Channel analogue of :func:`leakage_project`.
 
@@ -576,20 +585,14 @@ def leakage_project_channel(
             f"retained weight has imaginary part {retained.imag:.3e}; the channel "
             "is not hermiticity preserving"
         )
-    leak = 1.0 - retained.real
-    if not -tol <= leak <= 1.0 + tol:
-        raise PhysicalityError(
-            f"leakage weight {leak!r} is outside [0, 1] by more than {tol:g}; the "
-            "input is not a trace-preserving channel on the full space"
-        )
-    return block, float(np.clip(leak, 0.0, 1.0))
+    return block, _leakage_in_range(1.0 - retained.real, tol, "a trace-preserving channel")
 
 
 def _extract_from_errors(
     errs: np.ndarray,
     weights: np.ndarray,
     leakage: LeakageSpec | None,
-    clamp_tol: float,
+    tol: float,
     allow_nonphysical: bool,
 ) -> ExtractionResult:
     """Shared tail of the unitary and ensemble routes, from the members'
@@ -602,12 +605,12 @@ def _extract_from_errors(
     """
     leak = 0.0
     if leakage is not None:
-        blocks, leaks = zip(*(leakage_project(e, leakage, tol=clamp_tol) for e in errs))
+        blocks, leaks = zip(*(leakage_project(e, leakage, tol=tol) for e in errs))
         errs = np.stack(blocks)
         leak = float(weights @ np.array(leaks))
     n = check_qubits(qubit_count(errs.shape[1]), MAX_MODEL_QUBITS)
     amplitudes = np.stack([_amplitudes(e, n) for e in errs])
-    return _result_from_amplitudes(amplitudes, weights, leak, clamp_tol, allow_nonphysical)
+    return _result_from_amplitudes(amplitudes, weights, leak, tol, allow_nonphysical)
 
 
 def extract_from_unitary(
@@ -615,9 +618,8 @@ def extract_from_unitary(
     target: np.ndarray | None = None,
     *,
     leakage: LeakageSpec | None = None,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    clamp_tol: float = DEFAULT_CLAMP_TOL,
-    allow_nonunitary: bool = False,
+    tol: float = DEFAULT_TOL,
+    allow_nonphysical: bool = False,
 ) -> ExtractionResult:
     """Extract the closest Pauli channel to the error of a unitary gate.
 
@@ -628,17 +630,15 @@ def extract_from_unitary(
     product of its amplitudes, so the model and its diagnostics are computed
     from the amplitudes alone (the one-member case of
     :func:`extract_from_ensemble`); the full matrix is available from the
-    result on demand.
+    result on demand. ``allow_nonphysical`` skips the unitarity checks.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square operator, got shape {u.shape}")
     if target is None:
         target = np.eye(u.shape[0], dtype=complex)
-    err = error_unitary(
-        u, target, unitarity_tol=unitarity_tol, allow_nonunitary=allow_nonunitary
-    )
-    return _extract_from_errors(err[None], np.ones(1), leakage, clamp_tol, allow_nonunitary)
+    err = error_unitary(u, target, tol=tol, allow_nonphysical=allow_nonphysical)
+    return _extract_from_errors(err[None], np.ones(1), leakage, tol, allow_nonphysical)
 
 
 def extract_from_ensemble(
@@ -646,9 +646,7 @@ def extract_from_ensemble(
     target: np.ndarray | None = None,
     *,
     leakage: LeakageSpec | None = None,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    physicality_tol: float = DEFAULT_PHYSICALITY_TOL,
-    clamp_tol: float = DEFAULT_CLAMP_TOL,
+    tol: float = DEFAULT_TOL,
     allow_nonphysical: bool = False,
 ) -> ExtractionResult:
     """Extract the closest Pauli channel to the error of a weighted unitary
@@ -661,9 +659,9 @@ def extract_from_ensemble(
     ``O(K n 4**n + K**2 4**n)`` and memory ``O(K 4**n)``, so the model cap
     applies, as on the unitary route. The members are validated as by
     :func:`average_channel`, and trace preservation of the mixture is
-    enforced within ``physicality_tol`` unless ``allow_nonphysical`` is set.
+    enforced unless ``allow_nonphysical`` is set.
     """
-    weights, unitaries = _ensemble_arrays(members, unitarity_tol=unitarity_tol)
+    weights, unitaries = _ensemble_arrays(members, tol=tol)
     errs = unitaries
     if target is not None:
         target = np.asarray(target, dtype=complex)
@@ -672,20 +670,16 @@ def extract_from_ensemble(
                 f"target shape {target.shape} does not match the ensemble "
                 f"dimension {unitaries.shape[1]}"
             )
-        require_unitary(target, unitarity_tol, name="target")
+        require_unitary(target, tol, name="target")
         errs = unitaries @ target.conj().T
     if not allow_nonphysical:
         # trace_preservation_defect of sum_k p_k kron(E_k, E_k^*), without the
         # superoperator. A real-weighted mixture of conjugations preserves
         # hermiticity exactly, so that check has nothing to find here.
         kept = np.tensordot(weights, errs.conj().transpose(0, 2, 1) @ errs, axes=1)
-        trace_dev = float(np.max(np.abs(kept - np.eye(kept.shape[0]))))
-        if trace_dev > physicality_tol:
-            raise PhysicalityError(
-                f"channel is not trace preserving (defect {trace_dev:.3e}); pass "
-                "allow_nonphysical to extract diagnostics anyway"
-            )
-    return _extract_from_errors(errs, weights, leakage, clamp_tol, allow_nonphysical)
+        defect = float(np.max(np.abs(kept - np.eye(kept.shape[0]))))
+        _require_preserving(defect, tol, "trace")
+    return _extract_from_errors(errs, weights, leakage, tol, allow_nonphysical)
 
 
 def extract_from_channel(
@@ -693,46 +687,34 @@ def extract_from_channel(
     target: np.ndarray | None = None,
     *,
     leakage: LeakageSpec | None = None,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    physicality_tol: float = DEFAULT_PHYSICALITY_TOL,
-    clamp_tol: float = DEFAULT_CLAMP_TOL,
+    tol: float = DEFAULT_TOL,
     allow_nonphysical: bool = False,
 ) -> ExtractionResult:
     """Extract the closest Pauli channel to the error of a channel ``s``.
 
     ``target`` (a unitary on the same space, identity when omitted) is
     inverted and composed into ``s`` first. Trace and hermiticity
-    preservation of the error channel are enforced within
-    ``physicality_tol`` unless ``allow_nonphysical`` is set; those checks
-    run on the full space, before any leakage projection. For a weighted
-    unitary ensemble, :func:`extract_from_ensemble` gives the same model
-    without the superoperator.
+    preservation of the error channel are enforced unless
+    ``allow_nonphysical`` is set; those checks run on the full space, before
+    any leakage projection. For a weighted unitary ensemble,
+    :func:`extract_from_ensemble` gives the same model without the
+    superoperator.
     """
     s = np.asarray(s, dtype=complex)
     _, d = superoperator_dims(s)
     # The cap is checked before the O(64**n) compose and the physicality
     # checks; with leakage, only the computational block is expanded.
     check_levels(d if leakage is None else leakage.comp_dim, DEFAULT_SUPEROP_MAX_QUBITS)
-    err = s if target is None else error_channel(s, target, unitarity_tol=unitarity_tol)
+    err = s if target is None else error_channel(s, target, tol=tol)
     if not allow_nonphysical:
-        trace_dev = trace_preservation_defect(err)
-        if trace_dev > physicality_tol:
-            raise PhysicalityError(
-                f"channel is not trace preserving (defect {trace_dev:.3e}); pass "
-                "allow_nonphysical to extract diagnostics anyway"
-            )
-        herm_dev = hermiticity_defect(err)
-        if herm_dev > physicality_tol:
-            raise PhysicalityError(
-                f"channel is not hermiticity preserving (defect {herm_dev:.3e}); "
-                "pass allow_nonphysical to extract diagnostics anyway"
-            )
+        _require_preserving(trace_preservation_defect(err), tol, "trace")
+        _require_preserving(hermiticity_defect(err), tol, "hermiticity")
     leak = 0.0
     if leakage is not None:
-        err, leak = leakage_project_channel(err, leakage, tol=clamp_tol)
+        err, leak = leakage_project_channel(err, leakage, tol=tol)
     d2, d = superoperator_dims(err)
     total_sq = float(np.vdot(err, err).real) / d2
     model = _assemble_model(
-        _channel_diagonal(err, qubit_count(d)), leak, total_sq, clamp_tol, allow_nonphysical
+        _channel_diagonal(err, qubit_count(d)), leak, total_sq, tol, allow_nonphysical
     )
     return ExtractionResult(model=model, channel=err)

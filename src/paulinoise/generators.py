@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DimensionError
 from .paulis import (
-    DEFAULT_MAX_QUBITS,
     DEFAULT_SUPEROP_MAX_QUBITS,
-    DEFAULT_UNITARITY_TOL,
+    DEFAULT_TOL,
+    MAX_MODEL_QUBITS,
     check_qubits,
     pauli_matrix,
     require_unitary,
@@ -49,9 +49,10 @@ def overrotated_cz(theta: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -np.exp(-1j * theta)]).astype(complex)
 
 
-def random_unitary(n: int, seed: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
-    """Haar-random ``2**n`` unitary, deterministic for a fixed ``seed``."""
-    check_qubits(n, max_qubits)
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    """Haar-random ``2**n`` unitary, deterministic for a fixed ``seed``; its
+    ``4**n`` entries are capped as the largest model is."""
+    check_qubits(n, MAX_MODEL_QUBITS)
     dim = 2**n
     rng = np.random.default_rng(seed)
     ginibre = (
@@ -119,12 +120,12 @@ def _ensemble_arrays(
     members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
     *,
     simplex_tol: float = DEFAULT_SIMPLEX_TOL,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights ``(K,)`` and unitaries ``(K, D, D)`` of a validated ensemble.
 
     The ensemble must be non-empty, its members must act on one space and be
-    unitary within ``unitarity_tol``, and its weights must sum to 1 within
+    unitary within ``tol``, and its weights must sum to 1 within
     ``simplex_tol``.
     """
     members = list(members)
@@ -137,7 +138,7 @@ def _ensemble_arrays(
     if abs(total - 1.0) > simplex_tol:
         raise ValueError(f"ensemble weights sum to {total!r}, not 1 within {simplex_tol:g}")
     unitaries = np.stack(
-        [require_unitary(m.unitary, unitarity_tol, name="ensemble member") for m in members]
+        [require_unitary(m.unitary, tol, name="ensemble member") for m in members]
     )
     return np.array([m.weight for m in members], dtype=float), unitaries
 
@@ -146,18 +147,16 @@ def average_channel(
     members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
     *,
     simplex_tol: float = DEFAULT_SIMPLEX_TOL,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Superoperator of a weighted mixture of unitaries.
 
     Weights must be nonnegative and sum to 1 within ``simplex_tol``; all
-    members must act on the same space and be unitary within
-    ``unitarity_tol``. The result is trace preserving by construction but is
-    generally not a unitary lift.
+    members must act on the same space and be unitary within ``tol``. The
+    result is trace preserving by construction but is generally not a unitary
+    lift.
     """
-    weights, unitaries = _ensemble_arrays(
-        members, simplex_tol=simplex_tol, unitarity_tol=unitarity_tol
-    )
+    weights, unitaries = _ensemble_arrays(members, simplex_tol=simplex_tol, tol=tol)
     dim = unitaries.shape[1]
     s = np.zeros((dim * dim, dim * dim), dtype=complex)
     for weight, u in zip(weights, unitaries):

@@ -51,6 +51,7 @@ from .extraction import ModelDiagnostics, PauliNoiseModel
 from .generators import EnsembleMember
 from .paulis import (
     DEFAULT_SUPEROP_MAX_QUBITS,
+    DEFAULT_TOL,
     MAX_MODEL_QUBITS,
     label_to_index,
     pauli_labels,
@@ -428,7 +429,7 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     """Read a noise model document, re-validating all invariants.
 
     ``strict`` additionally enforces that kept probabilities, truncated
-    weight, and leakage close the budget to 1 within 1e-9.
+    weight, and leakage close the budget to 1 within ``DEFAULT_TOL``.
     """
     doc = _load_json(path)
     _check_header(doc, KIND_MODEL, path)
@@ -500,7 +501,7 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     if strict:
         budget = sum(by_index.values()) + truncated + leakage
         _require(
-            abs(budget - 1.0) <= 1e-9,
+            abs(budget - 1.0) <= DEFAULT_TOL,
             path,
             f"probabilities, truncated weight, and leakage sum to {budget!r}, not 1",
         )

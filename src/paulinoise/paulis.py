@@ -33,11 +33,10 @@ PAULI_ALPHABET = "IXYZ"
 _DIGITS = str.maketrans(PAULI_ALPHABET, "0123")
 _LETTERS = np.frombuffer(PAULI_ALPHABET.encode("ascii"), dtype=np.uint8)
 
-# Qubit caps, each checked once where a size enters the package. Only
-# ``random_unitary(max_qubits=)`` lets a caller raise one.
+# Qubit caps, each checked once where a size enters the package; no caller
+# can raise one. Below them, the one tolerance every route shares.
 
-#: Bounds :func:`pauli_basis` (a list of ``4**n`` labels) and a typed qubit
-#: count in :func:`paulinoise.generators.random_unitary` by default.
+#: Bounds :func:`pauli_basis` (a list of ``4**n`` labels).
 DEFAULT_MAX_QUBITS = 6
 
 #: Bounds every dense superoperator (``16**n`` complex entries, 16 MiB at 5
@@ -46,15 +45,16 @@ DEFAULT_MAX_QUBITS = 6
 DEFAULT_SUPEROP_MAX_QUBITS = 5
 
 #: Bounds a model's probability vector (``4**n`` doubles, 128 MiB at 12
-#: qubits): the unitary and ensemble routes and models built or read back;
-#: halved, it bounds ``lift_unitary``, whose ``16**n`` entries match the vector.
+#: qubits): the unitary and ensemble routes, models built or read back and
+#: ``random_unitary``; halved, it bounds ``lift_unitary``, whose ``16**n``
+#: entries match the vector.
 MAX_MODEL_QUBITS = 12
 
 #: Bounds :func:`pauli_labels`: a 31-qubit index still fits in int64.
 MAX_LABEL_QUBITS = 31
 
-#: Default tolerance for unitarity checks on numerical inputs.
-DEFAULT_UNITARITY_TOL = 1e-9
+#: How far any input or result may stray from physical and still be rounding.
+DEFAULT_TOL = 1e-9
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -244,7 +244,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def require_unitary(
     u: np.ndarray,
-    tol: float = DEFAULT_UNITARITY_TOL,
+    tol: float = DEFAULT_TOL,
     name: str = "operator",
 ) -> np.ndarray:
     """Return ``u`` as a complex array after checking unitarity within ``tol``."""

@@ -66,7 +66,7 @@ def test_lift_acts_by_conjugation():
 def test_lift_rejects_nonunitary_without_override():
     with pytest.raises(PhysicalityError):
         lift_unitary(np.diag([1.0, 0.5]))
-    lift_unitary(np.diag([1.0, 0.5]), allow_nonunitary=True)
+    lift_unitary(np.diag([1.0, 0.5]), allow_nonphysical=True)
 
 
 def test_lift_dephasing_pair_coefficients():

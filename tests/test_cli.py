@@ -329,7 +329,7 @@ def test_seven_qubit_model_reads_back(tmp_path):
     model_path = tmp_path / "model7.json"
     chain_path = tmp_path / "chain7.stim"
     assert run_cli(
-        ["gen", "random-unitary", "--n", "7", "--seed", "5", "--max-qubits", "7", "-o", str(unitary)]
+        ["gen", "random-unitary", "--n", "7", "--seed", "5", "-o", str(unitary)]
     ) == 0
     assert run_cli(
         [
@@ -543,4 +543,21 @@ def test_leakage_range_follows_tol(tmp_path, capsys):
         assert "leakage weight" in capsys.readouterr().err
         assert run_cli(argv + ["--tol", "1e-6"]) == 0
         assert read_model(model_path, strict=False).leakage_weight == 0.0
+    capsys.readouterr()
+
+
+def test_clamp_band_follows_tol(tmp_path, capsys):
+    # A trace-preserving Pauli map with X weight -1e-7: refused under the
+    # default tolerance, clamped to the identity under --tol 1e-6.
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    chan = tmp_path / "dip.json"
+    write_matrix_file(
+        chan, (1 + 1e-7) * np.eye(4) - 1e-7 * np.kron(x, x.conj()), KIND_SUPEROPERATOR
+    )
+    model_path = tmp_path / "m.json"
+    argv = ["extract-channel", "--channel", str(chan), "-o", str(model_path)]
+    assert run_cli(argv) == 3
+    assert "for X " in capsys.readouterr().err
+    assert run_cli(argv + ["--tol", "1e-6"]) == 0
+    assert read_model(model_path).probability("I") == 1.0
     capsys.readouterr()

@@ -151,21 +151,25 @@ def test_ensemble_target_is_checked():
         extract_from_ensemble(members, 0.9 * np.eye(2))
 
 
-def test_ensemble_trace_check_follows_physicality_tol():
-    # Members unitary within a loose unitarity tolerance still fail a tight
-    # trace-preservation check, unless allow_nonphysical is set.
-    members = [EnsembleMember(1.0, np.eye(2) * (1 + 1e-7))]
+def test_ensemble_trace_check_follows_tol():
+    # Members and target each unitary within tol (defect 8e-7) compose to
+    # errors whose mixture misses trace preservation by 1.6e-6: refused at
+    # tol = 1e-6 unless allow_nonphysical is set, and accepted at 1e-5.
+    members = [EnsembleMember(1.0, np.eye(2) * (1 + 4e-7))]
+    target = np.eye(2) * (1 + 4e-7)
     with pytest.raises(PhysicalityError, match="trace preserving"):
-        extract_from_ensemble(members, unitarity_tol=1e-6, physicality_tol=1e-9)
-    model = extract_from_ensemble(
-        members, unitarity_tol=1e-6, physicality_tol=1e-9, allow_nonphysical=True
-    ).model
+        extract_from_ensemble(members, target, tol=1e-6)
+    model = extract_from_ensemble(members, target, tol=1e-6, allow_nonphysical=True).model
     assert model.probability("I") == 1.0
+    assert extract_from_ensemble(members, target, tol=1e-5).model.probability("I") == 1.0
 
 
-def test_ensemble_leakage_range_follows_clamp_tol():
-    members = [EnsembleMember(1.0, np.eye(3) * (1 + 1e-7))]
-    kwargs = {"leakage": LeakageSpec(3, (0, 1)), "unitarity_tol": 1e-6, "allow_nonphysical": True}
+def test_ensemble_leakage_range_follows_tol():
+    # The same composition on three levels leaks -1.6e-6: outside [0, 1] by
+    # more than tol = 1e-6, within 1e-5.
+    members = [EnsembleMember(1.0, np.eye(3) * (1 + 4e-7))]
+    target = np.eye(3) * (1 + 4e-7)
+    kwargs = {"leakage": LeakageSpec(3, (0, 1)), "allow_nonphysical": True}
     with pytest.raises(PhysicalityError, match="leakage weight"):
-        extract_from_ensemble(members, **kwargs)
-    assert extract_from_ensemble(members, clamp_tol=1e-6, **kwargs).model.leakage_weight == 0.0
+        extract_from_ensemble(members, target, tol=1e-6, **kwargs)
+    assert extract_from_ensemble(members, target, tol=1e-5, **kwargs).model.leakage_weight == 0.0

@@ -29,6 +29,7 @@ from paulinoise import (
     pauli_basis,
     pauli_channel,
     pauli_coefficients,
+    pauli_matrix,
     random_unitary,
     z_rotation,
 )
@@ -63,7 +64,7 @@ def test_error_unitary_validation():
         error_unitary(np.eye(2) * 1.01, np.eye(2))
     with pytest.raises(DimensionError):
         error_unitary(np.eye(2), np.eye(4))
-    error_unitary(np.eye(2) * 1.01, np.eye(2), allow_nonunitary=True)
+    error_unitary(np.eye(2) * 1.01, np.eye(2), allow_nonphysical=True)
 
 
 def test_pauli_coefficients_identity():
@@ -246,20 +247,27 @@ def test_nearest_pauli_channel_rejects_negative_weights():
 
 
 def test_nearest_pauli_channel_rejects_weights_above_one():
-    # The dip of -1e-8 is within tolerance; the weight 1.3 is not clamped to 1.
+    # The dip of -1e-10 is within tolerance; the weight 1.3 is not clamped to 1.
     with pytest.raises(PhysicalityError) as excinfo:
-        nearest_pauli_channel(np.array([1.3, 0.0, 0.0, -1e-8]))
+        nearest_pauli_channel(np.array([1.3, 0.0, 0.0, -1e-10]))
     assert "for I " in str(excinfo.value)
     with pytest.raises(PhysicalityError, match="for ZX "):
         nearest_pauli_channel({"ZX": 1.0 + 2e-6})
-    model = nearest_pauli_channel(np.array([1.0 + 5e-7, 0.0, 0.0, -1e-8]))
+    model = nearest_pauli_channel(np.array([1.0 + 5e-7, 0.0, 0.0, -1e-8]), tol=1e-6)
     assert model.probability("I") == 1.0
-    # A scaled unitary is admitted by allow_nonunitary, and its weight above 1
+    # A scaled unitary is admitted by allow_nonphysical, and its weight above 1
     # is clamped under that flag.
-    scaled = extract_from_unitary(np.eye(2) * 1.01, allow_nonunitary=True).model
+    scaled = extract_from_unitary(np.eye(2) * 1.01, allow_nonphysical=True).model
     assert scaled.probability("I") == 1.0
+    # Trace preserving, so the channel checks pass, but not completely
+    # positive: dips within tol lift the identity weight past 1 + tol.
+    weights = (1 + 2.7e-3, -0.9e-3, -0.9e-3, -0.9e-3)
+    s = sum(
+        e * np.kron(pauli_matrix(p), pauli_matrix(p).conj())
+        for e, p in zip(weights, "IXYZ")
+    )
     with pytest.raises(PhysicalityError, match="above 1"):
-        extract_from_channel(np.eye(4) * 1.01, physicality_tol=0.1)
+        extract_from_channel(s, tol=1e-3)
     assert extract_from_channel(np.eye(4) * 1.01, allow_nonphysical=True).model.probability("I") == 1.0
 
 
@@ -268,6 +276,15 @@ def test_nearest_pauli_channel_clamps_only_within_tolerance():
     assert model.probability("X") == 0.0
     with pytest.raises(PhysicalityError):
         nearest_pauli_channel(np.array([1.0, 1e-6j, 0.0, 0.0]))
+    # The band follows tol: a dip of -1e-7 is refused by default, naming its
+    # label and quoting the tolerance applied, and clamped to 0 at 1e-6.
+    dip = np.array([1.0, -1e-7, 0.0, 0.0])
+    with pytest.raises(PhysicalityError, match="for X ") as excinfo:
+        nearest_pauli_channel(dip)
+    assert "below -1e-09" in str(excinfo.value)
+    assert nearest_pauli_channel(dip, tol=1e-6).probability("X") == 0.0
+    with pytest.raises(PhysicalityError, match="above 1 \\+ 1e-06"):
+        nearest_pauli_channel(np.array([1.0 + 2e-6, 0.0, 0.0, 0.0]), tol=1e-6)
 
 
 def test_identity_probability_equals_entanglement_fidelity():

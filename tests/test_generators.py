@@ -74,11 +74,12 @@ def test_random_unitary_is_unitary():
 
 
 def test_random_unitary_respects_qubit_cap():
+    # Capped at MAX_MODEL_QUBITS, as every route it feeds is.
     with pytest.raises(SizeLimitError):
-        random_unitary(7, 0)
+        random_unitary(13, 0)
     with pytest.raises(SizeLimitError):
         random_unitary(0, 0)
-    random_unitary(7, 0, max_qubits=7)
+    random_unitary(7, 0)
 
 
 def test_pauli_channel_identity():
