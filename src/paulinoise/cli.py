@@ -55,7 +55,6 @@ from .model_io import (
     KIND_SUPEROPERATOR,
     dump_json,
     export_stim_chain,
-    model_to_document,
     read_ensemble_file,
     read_matrix_file,
     write_coefficient_file,
@@ -69,8 +68,8 @@ from .paulis import DEFAULT_SUPEROP_MAX_QUBITS, DEFAULT_TOL, validate_label
 _ADMITS = "; also clamps weights above 1 and skips the written model's budget check"
 
 
-def _tolerance(text: str) -> float:
-    """``--tol`` value: a finite number >= 0."""
+def _nonnegative(text: str) -> float:
+    """``--tol`` or ``--floor`` value: a finite number >= 0."""
     try:
         value = float(text)
     except ValueError:
@@ -88,13 +87,13 @@ def _add_common_extract_options(parser: argparse.ArgumentParser, admits: str) ->
     )
     parser.add_argument(
         "--tol",
-        type=_tolerance,
+        type=_nonnegative,
         default=DEFAULT_TOL,
         help="unitarity/physicality/clamping tolerance (default %(default)g)",
     )
     parser.add_argument(
         "--floor",
-        type=float,
+        type=_nonnegative,
         default=DEFAULT_PROBABILITY_FLOOR,
         help="probabilities below this are dropped from the written model"
         " (default %(default)g)",
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distance.add_argument("file_b", help="operator or superoperator file")
     p_distance.add_argument(
         "--tol",
-        type=_tolerance,
+        type=_nonnegative,
         default=DEFAULT_TOL,
         help="unitarity tolerance for operator inputs (default %(default)g)",
     )
@@ -287,7 +286,8 @@ def _run_extraction(
     )
     model = result.model
     # The coefficient file holds 16**n pairs, as a superoperator does: at
-    # n = 5 it is 72 MiB of JSON and takes ~0.5 GiB to write.
+    # n = 5 it is 72 MiB of JSON, and an extract that writes it takes ~4.5 s
+    # and peaks at ~350 MiB resident (Python 3.11, one Xeon core).
     if args.full_coeffs and model.n > DEFAULT_SUPEROP_MAX_QUBITS:
         raise SizeLimitError(
             f"--full-coeffs writes 16**n coefficients; {model.n} qubits exceed "

@@ -53,6 +53,7 @@ from .paulis import (
     DEFAULT_SUPEROP_MAX_QUBITS,
     DEFAULT_TOL,
     MAX_MODEL_QUBITS,
+    PAULI_ALPHABET,
     label_to_index,
     pauli_labels,
     pauli_qubit_count,
@@ -108,10 +109,59 @@ def _load_json(path: str | Path) -> Any:
 def dump_json(path: str | Path | None, document: dict[str, Any]) -> str:
     """Serialize ``document`` as sorted, indented JSON; write it to ``path``
     unless that is ``None``, and return the text."""
+    return _write_json(path, document)
+
+
+#: Row layouts for :func:`_write_json`: the brackets around one row and the
+#: text of each of its fields, with ``%`` where the value goes.
+_PAIR_ROW = ("[]", ("%r", "%r"))
+_ENTRY_ROW = ("{}", ('"label": "%s"', '"probability": %r'))
+
+
+def _write_json(
+    path: str | Path | None,
+    document: dict[str, Any],
+    key: str = "",
+    depth: int = 1,
+    row: tuple[str, tuple[str, ...]] = _PAIR_ROW,
+    blocks: Sequence[list[Any]] = (),
+) -> str:
+    """The one writer of JSON text: ``document`` with sorted keys and an
+    indent of two, written to ``path`` unless that is ``None``, and returned.
+
+    A document's large arrays come as ``blocks`` rather than as lists of
+    Python objects, so that no row passes through the pure-Python encoder
+    that ``json.dumps`` falls back to when it indents. Every ``key`` at
+    nesting ``depth`` holds ``[]`` in ``document``, and the i-th of them is
+    written with the rows of ``blocks[i]``, a flat list that gives ``row``'s
+    fields their values row after row. ``%r`` of a float is the text
+    ``json`` writes for it, so the text is that of ``json.dumps`` with the
+    arrays in place. Callers check that block values are finite, as
+    ``allow_nan=False`` does for the rest of the document.
+    """
     try:
         text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise _fail(path, f"document contains non-finite numbers ({exc})") from exc
+    if blocks:
+        # JSON strings hold no raw newline, so a newline followed by exactly
+        # 2 * depth spaces and the quoted key starts a key at ``depth``.
+        head = "\n" + "  " * depth + json.dumps(key) + ": "
+        parts = text.split(head + "[]")
+        brackets, fields = row
+        inner = "\n" + "  " * (depth + 1)
+        field_sep = "," + inner + "  "
+        template = brackets[0] + inner + "  " + field_sep.join(fields) + inner + brackets[1]
+        arrays = [
+            "[" + inner + ("," + inner).join([template] * (len(values) // len(fields)))
+            % tuple(values) + "\n" + "  " * depth + "]"
+            if values
+            else "[]"
+            for values in blocks
+        ]
+        text = parts[0] + "".join(
+            head + array + part for array, part in zip(arrays, parts[1:], strict=True)
+        )
     if path is not None:
         Path(path).write_text(text)
     return text
@@ -122,11 +172,13 @@ def _require(condition: bool, path: str | Path | None, message: str) -> None:
         raise _fail(path, message)
 
 
-def _complex_pairs(matrix: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(flat)):
+def _pair_values(matrix: np.ndarray) -> list[float]:
+    """Real and imaginary parts of ``matrix``'s entries, row-major and
+    interleaved: the values of its ``data`` rows."""
+    flat = np.ascontiguousarray(matrix, dtype=complex).reshape(-1)
+    if not np.isfinite(flat).all():
         raise ModelFormatError("matrix contains non-finite entries")
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return flat.view(float).tolist()
 
 
 def _finite_number(value: Any) -> float | None:
@@ -249,10 +301,10 @@ def write_matrix_file(
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "dim": dim,
-        "data": _complex_pairs(matrix),
+        "data": [],
         "meta": _check_meta(meta, path),
     }
-    return dump_json(path, document)
+    return _write_json(path, document, "data", 1, _PAIR_ROW, [_pair_values(matrix)])
 
 
 def read_matrix_file(path: str | Path) -> MatrixDocument:
@@ -287,17 +339,19 @@ def write_ensemble_file(
     dims = {m.unitary.shape[0] for m in members}
     if len(dims) != 1:
         raise ModelFormatError(f"ensemble members act on different dimensions: {sorted(dims)}")
+    rows, blocks = [], []
+    for m in members:
+        rows.append({"weight": float(m.weight), "data": []})
+        blocks.append(_pair_values(m.unitary))
     document = {
         "format_version": FORMAT_VERSION,
         "kind": KIND_ENSEMBLE,
         "dim": dims.pop(),
-        "members": [
-            {"weight": float(m.weight), "data": _complex_pairs(m.unitary)}
-            for m in members
-        ],
+        "members": rows,
         "meta": _check_meta(meta, path),
     }
-    return dump_json(path, document)
+    # Each member's "data" key sits at depth 3: document, "members", member.
+    return _write_json(path, document, "data", 3, _PAIR_ROW, blocks)
 
 
 def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
@@ -347,10 +401,10 @@ def write_coefficient_file(
         "format_version": FORMAT_VERSION,
         "kind": KIND_COEFFICIENTS,
         "n": n,
-        "data": _complex_pairs(weights),
+        "data": [],
         "meta": _check_meta(meta, path),
     }
-    return dump_json(path, document)
+    return _write_json(path, document, "data", 1, _PAIR_ROW, [_pair_values(weights)])
 
 
 def read_coefficient_file(path: str | Path) -> np.ndarray:
@@ -369,14 +423,11 @@ def read_coefficient_file(path: str | Path) -> np.ndarray:
     return _pairs_to_matrix(doc.get("data"), 4**n, path, "n")
 
 
-def model_to_document(
-    model: PauliNoiseModel,
-    *,
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
-    provenance: dict[str, Any] | None = None,
-    strict: bool = True,
-) -> dict[str, Any]:
-    """Build the JSON document for a model without touching the filesystem."""
+def _model_document(
+    model: PauliNoiseModel, floor: float, provenance: dict[str, Any] | None, strict: bool
+) -> tuple[dict[str, Any], list[str], np.ndarray]:
+    """The one builder of a model document: the document with ``"entries":
+    []``, and the labels and probabilities of its entries, in entry order."""
     if floor < 0.0 or not math.isfinite(floor):
         raise ValueError(f"probability floor must be finite and >= 0, got {floor!r}")
     if strict:
@@ -391,12 +442,11 @@ def model_to_document(
         truncated += prob
     kept = np.flatnonzero(keep)
     kept = kept[np.lexsort((kept, -probs[kept]))]
-    entries = zip(pauli_labels(kept, model.n), probs[kept].tolist())
     document: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": KIND_MODEL,
         "n": model.n,
-        "entries": [{"label": label, "probability": prob} for label, prob in entries],
+        "entries": [],
         "leakage_weight": float(model.leakage_weight),
         "truncated_weight": truncated,
         "diagnostics": {
@@ -407,6 +457,21 @@ def model_to_document(
     }
     if provenance is not None:
         document["provenance"] = provenance
+    return document, pauli_labels(kept, model.n), probs[kept]
+
+
+def model_to_document(
+    model: PauliNoiseModel,
+    *,
+    floor: float = DEFAULT_PROBABILITY_FLOOR,
+    provenance: dict[str, Any] | None = None,
+    strict: bool = True,
+) -> dict[str, Any]:
+    """Build the JSON document for a model without touching the filesystem."""
+    document, labels, probs = _model_document(model, floor, provenance, strict)
+    document["entries"] = [
+        {"label": label, "probability": prob} for label, prob in zip(labels, probs.tolist())
+    ]
     return document
 
 
@@ -419,10 +484,16 @@ def write_model(
     strict: bool = True,
 ) -> str:
     """Write a noise model document; returns the JSON text."""
-    document = model_to_document(
-        model, floor=floor, provenance=provenance, strict=strict
-    )
-    return dump_json(path, document)
+    document, labels, probs = _model_document(model, floor, provenance, strict)
+    if not np.isfinite(probs).all():
+        # json.dumps raises, naming the document's first non-finite number.
+        return dump_json(
+            path, model_to_document(model, floor=floor, provenance=provenance, strict=strict)
+        )
+    values: list[Any] = [None] * (2 * len(labels))
+    values[0::2] = labels
+    values[1::2] = probs.tolist()
+    return _write_json(path, document, "entries", 1, _ENTRY_ROW, [values])
 
 
 def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
@@ -521,15 +592,13 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     )
 
 
-def _chain_entries(model: PauliNoiseModel) -> list[tuple[str, float]]:
-    """Positive non-identity entries in canonical index order."""
-    # The identity string is index 0.
-    kept = np.flatnonzero(model.probs[1:] > 0.0) + 1
-    return list(zip(pauli_labels(kept, model.n), model.probs[kept].tolist()))
-
-
-def _chain_targets(label: str) -> str:
-    return " ".join(f"{ch}{q}" for q, ch in enumerate(label) if ch != "I")
+def _target_table(first: int, count: int) -> list[str]:
+    """The chain targets of every string on qubits ``first .. first + count
+    - 1``, in index order, each target led by a space (``" X3 Z4"``)."""
+    choices = [
+        [""] + [f" {ch}{q}" for ch in PAULI_ALPHABET[1:]] for q in range(first, first + count)
+    ]
+    return ["".join(targets) for targets in itertools.product(*choices)]
 
 
 def export_stim_chain(model: PauliNoiseModel) -> str:
@@ -543,19 +612,32 @@ def export_stim_chain(model: PauliNoiseModel) -> str:
     A fully stochastic budget (non-identity probabilities summing to 1) is
     valid and makes the final conditional probability 1.
     """
-    entries = _chain_entries(model)
-    lines = []
-    prefix = 0.0
-    for k, (label, prob) in enumerate(entries):
-        denominator = 1.0 - prefix
-        if denominator <= 1e-15:
-            conditional = 1.0
-        else:
-            conditional = min(prob / denominator, 1.0)
-        name = "CORRELATED_ERROR" if k == 0 else "ELSE_CORRELATED_ERROR"
-        lines.append(f"{name}({conditional!r}) {_chain_targets(label)}")
-        prefix += prob
-    return "\n".join(lines) + ("\n" if lines else "")
+    # Positive non-identity entries (the identity string is index 0) in
+    # canonical index order.
+    kept = np.flatnonzero(model.probs[1:] > 0.0) + 1
+    if not kept.size:
+        return ""
+    probs = model.probs[kept]
+    # cumsum adds in order, as a running Python sum would, so each prefix
+    # sum_{j<k} p_j is the same double.
+    with np.errstate(all="ignore"):
+        denominator = 1.0 - np.concatenate(([0.0], np.cumsum(probs[:-1])))
+        conditional = np.where(
+            denominator <= 1e-15, 1.0, np.minimum(probs / denominator, 1.0)
+        )
+    # A line's targets are those of the high qubits of its string, then those
+    # of the low ones, each looked up by that half of the index.
+    low = model.n // 2
+    high_table = _target_table(0, model.n - low)
+    low_table = _target_table(model.n - low, low)
+    values: list[Any] = [None] * (3 * kept.size)
+    values[0::3] = conditional.tolist()
+    values[1::3] = [high_table[i] for i in (kept >> (2 * low)).tolist()]
+    values[2::3] = [low_table[i] for i in (kept & (4**low - 1)).tolist()]
+    template = "CORRELATED_ERROR(%r)%s%s\n" + "ELSE_CORRELATED_ERROR(%r)%s%s\n" * (
+        kept.size - 1
+    )
+    return template % tuple(values)
 
 
 def chain_to_probabilities(text: str, n: int) -> dict[str, float]:

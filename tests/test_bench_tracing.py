@@ -35,10 +35,21 @@ def test_instrument_binds_every_traced_name(tmp_path, capsys):
     before = [(module, name, getattr(module, name)) for module, name, _ in tracing.WRAPPED]
     unitary = tmp_path / "u.json"
     write_matrix_file(unitary, np.eye(2, dtype=complex), KIND_OPERATOR)
+    argv = ["extract", "--unitary", str(unitary), "-o", str(tmp_path / "m.json")]
+    argv += ["--stim", str(tmp_path / "m.stim"), "--full-coeffs", str(tmp_path / "w.json")]
     with instrument.bound():
-        assert run_cli(["extract", "--unitary", str(unitary), "-o", str(tmp_path / "m.json")]) == 0
+        assert run_cli(argv) == 0
     for module, name, real in before:
         assert getattr(module, name) is real, name
+    # Each writer is reached through the name the trace rebinds, so its time
+    # lands in its own layer.
     names = {span[0] for span in instrument.tracer.spans}
-    assert {"cli.parse", "model_io.read_input", "extraction.extract", "model_io.write_model"} <= names
+    assert {
+        "cli.parse",
+        "model_io.read_input",
+        "extraction.extract",
+        "model_io.write_model",
+        "model_io.export_stim",
+        "model_io.write_coeffs",
+    } <= names
     capsys.readouterr()

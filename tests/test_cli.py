@@ -265,6 +265,18 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
         ):
             assert run_cli(argv + ["--tol", tol]) == 2
             assert "--tol" in capsys.readouterr().err
+    # --floor takes the same type and is refused when parsed, before the
+    # input (here a file that does not exist) is read.
+    missing = str(tmp_path / "missing.json")
+    for floor in ("nan", "inf", "-1"):
+        for argv in (
+            ["extract", "--unitary", missing],
+            ["extract-channel", "--channel", missing],
+            ["avg-extract", "--weights", missing],
+        ):
+            assert run_cli(argv + ["--floor", floor]) == 2
+            err = capsys.readouterr().err
+            assert "--floor" in err and "missing.json" not in err
     assert run_cli(["extract", "--unitary", str(ez), "--tol", "0"]) == 0
     assert run_cli(["distance", str(ez), str(ez), "--tol", "0"]) == 0
     capsys.readouterr()

@@ -6,12 +6,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulinoise import (
     EnsembleMember,
+    ModelDiagnostics,
     ModelFormatError,
+    PauliNoiseModel,
     coefficient_matrix,
     chain_to_probabilities,
     export_stim_chain,
@@ -32,6 +34,8 @@ from paulinoise import (
 )
 from paulinoise.model_io import (
     FORMAT_VERSION,
+    KIND_COEFFICIENTS,
+    KIND_ENSEMBLE,
     KIND_OPERATOR,
     KIND_SUPEROPERATOR,
     model_to_document,
@@ -502,3 +506,164 @@ def test_read_model_rejects_huge_integers(tmp_path, field):
 
     with pytest.raises(ModelFormatError, match=field):
         read_model(_write_mutated_model(tmp_path, mutate), strict=False)
+
+
+def _plain_json(document) -> str:
+    """The text every writer must produce: ``json.dumps`` of the document
+    with every row a Python list or dict."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def _pairs(matrix) -> list:
+    return [[z.real, z.imag] for z in np.asarray(matrix).reshape(-1).tolist()]
+
+
+# Signed zeros, the smallest subnormal and near-overflow magnitudes, then
+# arbitrary finite doubles.
+_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Quotes, backslashes, non-ASCII text, and text that reads like the
+# placeholder a writer splices its rows into.
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        [
+            '"data": []',
+            '"entries": []',
+            '\n  "data": []\n',
+            '\\"entries\\": []',
+            'say "hi" \\ back',
+            "n\u00e4he \u91cf\u5b50 \U0001f600",
+        ]
+    ),
+)
+_KEY = st.one_of(_TEXT, st.sampled_from(["data", "entries", "meta", "weight"]))
+_META = st.dictionaries(_KEY, _TEXT, max_size=4)
+_PROVENANCE = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOAT | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEY, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _matrices(side: int):
+    """``side x side`` complex matrices: seeded values over many magnitudes,
+    with some parts replaced by ``_FLOAT`` draws."""
+
+    def build(seed_and_specials):
+        seed, specials = seed_and_specials
+        rng = np.random.default_rng(seed)
+        size = 2 * side * side
+        parts = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+        for position, value in specials:
+            parts[position % parts.size] = value
+        return parts.view(complex).reshape(side, side)
+
+    specials = st.lists(st.tuples(st.integers(0, 10**6), _FLOAT), max_size=8)
+    return st.tuples(st.integers(0, 2**32 - 1), specials).map(build)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from([(KIND_OPERATOR, 2), (KIND_OPERATOR, 3), (KIND_SUPEROPERATOR, 2)]).flatmap(
+        lambda kd: st.tuples(
+            st.just(kd[0]),
+            st.just(kd[1]),
+            _matrices(kd[1] if kd[0] == KIND_OPERATOR else kd[1] ** 2),
+        )
+    ),
+    meta=_META,
+)
+def test_matrix_file_text_is_that_of_json_dumps(case, meta):
+    kind, dim, matrix = case
+    document = {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "dim": dim,
+        "data": _pairs(matrix),
+        "meta": meta,
+    }
+    assert write_matrix_file(None, matrix, kind, meta=meta) == _plain_json(document)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    members=st.integers(2, 3).flatmap(
+        lambda dim: st.lists(
+            st.tuples(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1e308]), _matrices(dim)),
+            min_size=1,
+            max_size=3,
+        )
+    ),
+    meta=_META,
+)
+def test_ensemble_file_text_is_that_of_json_dumps(members, meta):
+    document = {
+        "format_version": FORMAT_VERSION,
+        "kind": KIND_ENSEMBLE,
+        "dim": members[0][1].shape[0],
+        "members": [{"weight": w, "data": _pairs(m)} for w, m in members],
+        "meta": meta,
+    }
+    written = write_ensemble_file(None, [EnsembleMember(w, m) for w, m in members], meta=meta)
+    assert written == _plain_json(document)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix=st.sampled_from([4, 16]).flatmap(_matrices), meta=_META)
+def test_coefficient_file_text_is_that_of_json_dumps(matrix, meta):
+    document = {
+        "format_version": FORMAT_VERSION,
+        "kind": KIND_COEFFICIENTS,
+        "n": 1 if matrix.shape[0] == 4 else 2,
+        "data": _pairs(matrix),
+        "meta": meta,
+    }
+    assert write_coefficient_file(None, matrix, meta=meta) == _plain_json(document)
+
+
+@settings(max_examples=60, deadline=None)
+@example(
+    [0.9, 0.1] + [0.0] * 14,
+    2.0,
+    {"entries": [], "note": '"entries": []', "nested": {"entries": []}},
+)
+@given(
+    probs=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.25]), st.floats(0.0, 1.0)),
+        min_size=16,
+        max_size=16,
+    ),
+    # 2.0 is above every probability, so the model has no entries.
+    floor=st.sampled_from([0.0, 1e-12, 0.5, 2.0]),
+    provenance=st.none() | st.dictionaries(_KEY, _PROVENANCE, max_size=4),
+)
+def test_model_text_is_that_of_json_dumps(probs, floor, provenance):
+    model = PauliNoiseModel(
+        n=2, probs=np.array(probs), diagnostics=ModelDiagnostics(identity_prob=probs[0])
+    )
+    document = model_to_document(model, floor=floor, provenance=provenance, strict=False)
+    written = write_model(None, model, floor=floor, provenance=provenance, strict=False)
+    assert written == _plain_json(document)
+
+
+def test_writers_refuse_non_finite_values(tmp_path):
+    path = tmp_path / "out.json"
+    model = PauliNoiseModel(
+        n=1, probs=np.array([0.5, np.inf, 0.0, 0.0]), diagnostics=ModelDiagnostics(0.5)
+    )
+    with pytest.raises(
+        ModelFormatError,
+        match=r"out\.json: document contains non-finite numbers \(.*: inf\)$",
+    ):
+        write_model(path, model, strict=False)
+    bad = np.eye(4, dtype=complex)
+    bad[2, 1] = complex(0.0, np.inf)
+    with pytest.raises(ModelFormatError, match="matrix contains non-finite entries"):
+        write_coefficient_file(path, bad)
+    members = [EnsembleMember(0.5, np.eye(2)), EnsembleMember(0.5, bad[1:3, :2])]
+    with pytest.raises(ModelFormatError, match="matrix contains non-finite entries"):
+        write_ensemble_file(path, members)
+    assert not path.exists()

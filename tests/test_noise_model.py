@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulinoise import (
@@ -28,7 +28,7 @@ from paulinoise import (
     read_model,
     write_model,
 )
-from paulinoise.model_io import FORMAT_VERSION, KIND_MODEL, dump_json, model_to_document
+from paulinoise.model_io import FORMAT_VERSION, KIND_MODEL
 
 
 def _oracle_probabilities(model):
@@ -58,7 +58,7 @@ def _oracle_document_text(model, floor):
             "distance_to_source": model.diagnostics.distance_to_source,
         },
     }
-    return dump_json(None, document)
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def _oracle_chain(model):
@@ -91,7 +91,24 @@ _ENTRY = st.one_of(
 )
 
 
+def _vanishing_chain(head):
+    """Two-qubit probabilities whose first chain entries sum to ``head``'s
+    total, leaving the denominator ``1 - sum`` at or near the 1e-15 cut past
+    which every conditional is 1."""
+    probs = [0.0] * 16
+    probs[1 : 1 + len(head)] = head
+    probs[5], probs[9], probs[15] = 0.25, 1e-3, 1e-17
+    return probs
+
+
 @settings(max_examples=100, deadline=None)
+# Denominators of exactly 0, of 1.1e-16, just under the cut by rounding,
+# just over it, and negative.
+@example(_vanishing_chain([0.5, 0.5]), 0.0, 0.0, 0.0)
+@example(_vanishing_chain([0.5, 0.5 - 2.0**-53]), 0.0, 0.0, 0.0)
+@example(_vanishing_chain([0.5, 0.5 - 1e-15]), 0.0, 0.0, 0.0)
+@example(_vanishing_chain([0.5, 0.5 - 2e-15]), 0.0, 0.0, 0.0)
+@example(_vanishing_chain([0.75, 0.5]), 0.0, 0.0, 0.0)
 @given(
     probs=st.integers(1, 4).flatmap(
         lambda n: st.lists(_ENTRY, min_size=4**n, max_size=4**n)
@@ -109,13 +126,13 @@ def test_document_and_chain_match_per_label_oracle(probs, floor, truncated, leak
         truncated_weight=truncated,
         diagnostics=ModelDiagnostics(identity_prob=probs[0]),
     )
-    document = model_to_document(model, floor=floor, strict=False)
-    assert dump_json(None, document) == _oracle_document_text(model, floor)
+    text = write_model(None, model, floor=floor, strict=False)
+    assert text == _oracle_document_text(model, floor)
     assert export_stim_chain(model) == _oracle_chain(model)
 
 
 def test_extracted_documents_match_per_label_oracle():
-    for n in range(1, 5):
+    for n in range(1, 8):
         model = extract_from_unitary(random_unitary(n, 40 + n)).model
         assert write_model(None, model) == _oracle_document_text(model, 1e-12)
         assert export_stim_chain(model) == _oracle_chain(model)
