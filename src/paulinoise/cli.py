@@ -24,7 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .channels import channel_distance, lift_unitary
+from .channels import channel_distance, lift_unitary, superoperator_dims
 from .errors import (
     DimensionError,
     ModelFormatError,
@@ -256,8 +256,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_extract_channel(args: argparse.Namespace) -> int:
     s = _read_matrix(args.channel, KIND_SUPEROPERATOR)
-    full_dim = int(round(np.sqrt(s.shape[0])))
-    return _run_extraction(args, extract_from_channel, s, full_dim, channel=args.channel)
+    return _run_extraction(
+        args, extract_from_channel, s, superoperator_dims(s)[1], channel=args.channel
+    )
 
 
 def _cmd_avg_extract(args: argparse.Namespace) -> int:

@@ -60,12 +60,12 @@ from .paulis import (
     check_qubits,
     index_to_label,
     label_to_index,
+    mapping_qubits,
     pauli_basis,
     pauli_labels,
     pauli_qubit_count,
     qubit_count,
     require_unitary,
-    validate_label,
 )
 
 @dataclass(frozen=True)
@@ -484,12 +484,7 @@ def nearest_pauli_channel(
     the diagonal those fields are ``None``.
     """
     if isinstance(weights, Mapping):
-        if not weights:
-            raise DimensionError("weight mapping is empty")
-        lengths = {len(validate_label(lab)) for lab in weights}
-        if len(lengths) != 1:
-            raise DimensionError("weight mapping mixes labels of different lengths")
-        n = check_qubits(lengths.pop(), MAX_MODEL_QUBITS)
+        n = mapping_qubits(weights, MAX_MODEL_QUBITS, "weight")
         diag = np.zeros(4**n, dtype=complex)
         diag[[label_to_index(lab) for lab in weights]] = [
             complex(value) for value in weights.values()

@@ -23,9 +23,9 @@ from .paulis import (
     DEFAULT_TOL,
     MAX_MODEL_QUBITS,
     check_qubits,
+    mapping_qubits,
     pauli_matrix,
     require_unitary,
-    validate_label,
 )
 
 #: Probability vectors must hit the simplex this tightly.
@@ -92,12 +92,7 @@ def pauli_channel(
     missing labels mean probability 0. The probabilities must be nonnegative
     and sum to 1 within ``simplex_tol``.
     """
-    if not probabilities:
-        raise DimensionError("probability mapping is empty")
-    lengths = {len(validate_label(lab)) for lab in probabilities}
-    if len(lengths) != 1:
-        raise DimensionError("probability mapping mixes labels of different lengths")
-    n = check_qubits(lengths.pop(), DEFAULT_SUPEROP_MAX_QUBITS)
+    n = mapping_qubits(probabilities, DEFAULT_SUPEROP_MAX_QUBITS, "probability")
     values = np.array([float(v) for v in probabilities.values()])
     if np.any(~np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("probabilities must be finite and nonnegative")

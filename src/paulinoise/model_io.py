@@ -5,11 +5,16 @@ a ``kind`` discriminator. Floats are written with Python's shortest
 round-trip representation, so write-then-read reproduces every IEEE-754
 double exactly.
 
-operator / superoperator document::
+operator / superoperator / coefficient matrix document::
 
     {"format_version": 1, "kind": "operator", "dim": 2,
      "data": [[re, im], ...],        # row-major; dim^2 pairs ("superoperator": dim^4)
      "meta": {"generator": "ez"}}    # optional string map
+
+A ``"coefficient_matrix"`` document holds ``"n"``, at most
+``DEFAULT_SUPEROP_MAX_QUBITS``, in place of ``"dim"`` and the ``16^n`` pairs
+of the Pauli-pair matrix in label index order. One writer and one reader
+serve all three matrix documents.
 
 unitary ensemble document::
 
@@ -42,11 +47,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ModelFormatError
+from .errors import ModelFormatError
 from .extraction import ModelDiagnostics, PauliNoiseModel
 from .generators import EnsembleMember
 from .paulis import (
@@ -56,7 +61,6 @@ from .paulis import (
     PAULI_ALPHABET,
     label_to_index,
     pauli_labels,
-    pauli_qubit_count,
 )
 # pauli_basis is unused here but stays importable from this module, because
 # the traced benchmark run (bench/tracing.py) rebinds model_io.pauli_basis.
@@ -79,7 +83,7 @@ _NUMBER_TYPES = (int, float)
 
 @dataclass(frozen=True)
 class MatrixDocument:
-    """A parsed operator or superoperator file."""
+    """A parsed operator, superoperator or coefficient matrix file."""
 
     kind: str
     matrix: np.ndarray
@@ -95,32 +99,44 @@ def _reject_nonfinite_constant(token: str) -> float:
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
 
-def _load_json(path: str | Path) -> Any:
+def _load_document(path: str | Path, kinds: tuple[str, ...]) -> tuple[dict[str, Any], str]:
+    """The one entry of every reader: the JSON object in the file at
+    ``path``, checked to carry this module's ``format_version`` and one of
+    ``kinds``, and that kind."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _fail(path, f"cannot read file ({exc})") from exc
     try:
-        return json.loads(text, parse_constant=_reject_nonfinite_constant)
+        doc = json.loads(text, parse_constant=_reject_nonfinite_constant)
     except ValueError as exc:
         raise _fail(path, f"invalid JSON ({exc})") from exc
+    _require(isinstance(doc, dict), path, "document root must be a JSON object")
+    _require(
+        doc.get("format_version") == FORMAT_VERSION,
+        path,
+        f"unsupported format_version {doc.get('format_version')!r}, expected {FORMAT_VERSION}",
+    )
+    kind = doc.get("kind")
+    _require(isinstance(kind, str), path, "'kind' must be a string")
+    _require(
+        kind in kinds,
+        path,
+        f"expected a {' or '.join(map(repr, kinds))} document, found {kind!r}",
+    )
+    return doc, kind
 
 
-def dump_json(path: str | Path | None, document: dict[str, Any]) -> str:
-    """Serialize ``document`` as sorted, indented JSON; write it to ``path``
-    unless that is ``None``, and return the text."""
-    return _write_json(path, document)
-
-
-#: Row layouts for :func:`_write_json`: the brackets around one row and the
+#: Row layouts for :func:`dump_json`: the brackets around one row and the
 #: text of each of its fields, with ``%`` where the value goes.
 _PAIR_ROW = ("[]", ("%r", "%r"))
 _ENTRY_ROW = ("{}", ('"label": "%s"', '"probability": %r'))
 
 
-def _write_json(
+def dump_json(
     path: str | Path | None,
     document: dict[str, Any],
+    *,
     key: str = "",
     depth: int = 1,
     row: tuple[str, tuple[str, ...]] = _PAIR_ROW,
@@ -170,6 +186,35 @@ def _write_json(
 def _require(condition: bool, path: str | Path | None, message: str) -> None:
     if not condition:
         raise _fail(path, message)
+
+
+def _int_field(
+    value: Any, key: str, path: str | Path | None, low: int, high: int | None = None
+) -> int:
+    """``value`` of the size field ``key`` if it is an integer (not a bool)
+    in ``[low, high]``, or ``>= low`` when ``high`` is ``None``."""
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    _require(
+        type(value) is int and value >= low and (high is None or value <= high),
+        path,
+        f"{key!r} must be an integer {bound}, got {value!r}",
+    )
+    return value
+
+
+def _number_field(
+    value: Any, name: str, path: str | Path | None, high: float = math.inf
+) -> float:
+    """``value`` of the field ``name`` as a float if it is a finite JSON
+    number in ``[0, high]``."""
+    number = _finite_number(value)
+    bound = "a nonnegative number" if high == math.inf else f"a number in [0, {high:g}]"
+    _require(
+        number is not None and 0.0 <= number <= high,
+        path,
+        f"{name!r} must be {bound}, got {value!r}",
+    )
+    return number
 
 
 def _pair_values(matrix: np.ndarray) -> list[float]:
@@ -254,22 +299,51 @@ def _check_meta(meta: Any, path: str | Path | None) -> dict[str, str]:
     return dict(meta)
 
 
-def _check_header(doc: Any, expected_kind: str | None, path: str | Path | None) -> str:
-    _require(isinstance(doc, dict), path, "document root must be a JSON object")
-    _require(
-        doc.get("format_version") == FORMAT_VERSION,
-        path,
-        f"unsupported format_version {doc.get('format_version')!r}, expected {FORMAT_VERSION}",
-    )
-    kind = doc.get("kind")
-    _require(isinstance(kind, str), path, "'kind' must be a string")
-    if expected_kind is not None:
-        _require(
-            kind == expected_kind,
-            path,
-            f"expected a {expected_kind!r} document, found {kind!r}",
+#: The one sizing rule of each matrix document: its size field, the bounds
+#: of that field (no cap when ``None``), the matrix side for a field value,
+#: the field value for a side, and the rule in words. A coefficient matrix is
+#: held to the channel route's cap, under which one is written.
+_SIZINGS: dict[str, tuple[str, int, int | None, Callable, Callable, str]] = {
+    KIND_OPERATOR: ("dim", 2, None, lambda dim: dim, lambda side: side, "dim"),
+    KIND_SUPEROPERATOR: ("dim", 2, None, lambda dim: dim * dim, math.isqrt, "dim**2"),
+    KIND_COEFFICIENTS: (
+        "n", 1, DEFAULT_SUPEROP_MAX_QUBITS,
+        lambda n: 4**n, lambda side: side.bit_length() // 2, "4**n",
+    ),
+}
+
+
+def _write_matrix(
+    path: str | Path | None, matrix: np.ndarray, kind: str, meta: dict[str, str] | None
+) -> str:
+    """The one writer of operator, superoperator and coefficient documents."""
+    key, low, high, side_of, field_of, rule = _SIZINGS[kind]
+    matrix = np.asarray(matrix, dtype=complex)
+    side = matrix.shape[0] if matrix.ndim == 2 else 0
+    value = field_of(side)
+    if matrix.shape != (side, side) or side_of(value) != side:
+        raise ModelFormatError(
+            f"a {kind!r} document needs a square matrix with a side of {rule},"
+            f" got shape {matrix.shape}"
         )
-    return kind
+    document = {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        key: _int_field(value, key, path, low, high),
+        "data": [],
+        "meta": _check_meta(meta, path),
+    }
+    return dump_json(path, document, key="data", blocks=[_pair_values(matrix)])
+
+
+def _read_matrix(path: str | Path, kinds: tuple[str, ...]) -> MatrixDocument:
+    """The one reader of operator, superoperator and coefficient documents;
+    the document must be of one of ``kinds``."""
+    doc, kind = _load_document(path, kinds)
+    key, low, high, side_of, _, _ = _SIZINGS[kind]
+    side = side_of(_int_field(doc.get(key), key, path, low, high))
+    matrix = _pairs_to_matrix(doc.get("data"), side, path, key)
+    return MatrixDocument(kind=kind, matrix=matrix, meta=_check_meta(doc.get("meta"), path))
 
 
 def write_matrix_file(
@@ -279,52 +353,17 @@ def write_matrix_file(
     meta: dict[str, str] | None = None,
 ) -> str:
     """Write an operator or superoperator document; returns the JSON text."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if kind == KIND_OPERATOR:
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 2:
-            raise ModelFormatError(f"operator must be square (>= 2), got {matrix.shape}")
-        dim = matrix.shape[0]
-    elif kind == KIND_SUPEROPERATOR:
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ModelFormatError(f"superoperator must be square, got {matrix.shape}")
-        dim = int(round(math.sqrt(matrix.shape[0])))
-        if dim * dim != matrix.shape[0] or dim < 2:
-            raise ModelFormatError(
-                f"superoperator dimension {matrix.shape[0]} is not a square of an"
-                " operator dimension"
-            )
-    else:
+    if kind not in (KIND_OPERATOR, KIND_SUPEROPERATOR):
         raise ModelFormatError(
             f"kind must be {KIND_OPERATOR!r} or {KIND_SUPEROPERATOR!r}, got {kind!r}"
         )
-    document = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "dim": dim,
-        "data": [],
-        "meta": _check_meta(meta, path),
-    }
-    return _write_json(path, document, "data", 1, _PAIR_ROW, [_pair_values(matrix)])
+    return _write_matrix(path, matrix, kind, meta)
 
 
 def read_matrix_file(path: str | Path) -> MatrixDocument:
     """Read an operator or superoperator document written by this module."""
-    doc = _load_json(path)
-    kind = _check_header(doc, None, path)
-    _require(
-        kind in (KIND_OPERATOR, KIND_SUPEROPERATOR),
-        path,
-        f"expected an operator or superoperator document, found kind {kind!r}",
-    )
-    dim = doc.get("dim")
-    _require(
-        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 2,
-        path,
-        f"'dim' must be an integer >= 2, got {dim!r}",
-    )
-    rows = dim if kind == KIND_OPERATOR else dim * dim
-    matrix = _pairs_to_matrix(doc.get("data"), rows, path, "dim")
-    return MatrixDocument(kind=kind, matrix=matrix, meta=_check_meta(doc.get("meta"), path))
+    # Not a coefficient matrix: a caller would take it for an operator.
+    return _read_matrix(path, (KIND_OPERATOR, KIND_SUPEROPERATOR))
 
 
 def write_ensemble_file(
@@ -346,24 +385,18 @@ def write_ensemble_file(
     document = {
         "format_version": FORMAT_VERSION,
         "kind": KIND_ENSEMBLE,
-        "dim": dims.pop(),
+        "dim": _int_field(dims.pop(), "dim", path, 2),
         "members": rows,
         "meta": _check_meta(meta, path),
     }
     # Each member's "data" key sits at depth 3: document, "members", member.
-    return _write_json(path, document, "data", 3, _PAIR_ROW, blocks)
+    return dump_json(path, document, key="data", depth=3, blocks=blocks)
 
 
 def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
     """Read a weighted unitary ensemble document."""
-    doc = _load_json(path)
-    _check_header(doc, KIND_ENSEMBLE, path)
-    dim = doc.get("dim")
-    _require(
-        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 2,
-        path,
-        f"'dim' must be an integer >= 2, got {dim!r}",
-    )
+    doc, _ = _load_document(path, (KIND_ENSEMBLE,))
+    dim = _int_field(doc.get("dim"), "dim", path, 2)
     raw_members = doc.get("members")
     _require(
         isinstance(raw_members, list) and len(raw_members) > 0,
@@ -373,12 +406,7 @@ def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
     members = []
     for i, raw in enumerate(raw_members):
         _require(isinstance(raw, dict), path, f"'members[{i}]' must be an object")
-        weight = _finite_number(raw.get("weight"))
-        _require(
-            weight is not None and weight >= 0.0,
-            path,
-            f"'members[{i}].weight' must be a nonnegative number, got {raw.get('weight')!r}",
-        )
+        weight = _number_field(raw.get("weight"), f"members[{i}].weight", path)
         matrix = _pairs_to_matrix(raw.get("data"), dim, path, "dim")
         members.append(EnsembleMember(weight=weight, unitary=matrix))
     return members
@@ -390,37 +418,13 @@ def write_coefficient_file(
     meta: dict[str, str] | None = None,
 ) -> str:
     """Write a full Pauli-pair coefficient matrix (row-major, index order)."""
-    weights = np.asarray(weights, dtype=complex)
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-        raise ModelFormatError(f"coefficient matrix must be square, got {weights.shape}")
-    try:
-        n = pauli_qubit_count(weights.shape[0])
-    except DimensionError as exc:
-        raise ModelFormatError(f"coefficient matrix side: {exc}") from exc
-    document = {
-        "format_version": FORMAT_VERSION,
-        "kind": KIND_COEFFICIENTS,
-        "n": n,
-        "data": [],
-        "meta": _check_meta(meta, path),
-    }
-    return _write_json(path, document, "data", 1, _PAIR_ROW, [_pair_values(weights)])
+    return _write_matrix(path, weights, KIND_COEFFICIENTS, meta)
 
 
 def read_coefficient_file(path: str | Path) -> np.ndarray:
     """Read a coefficient matrix document back into a complex array; ``n`` is
     held to ``DEFAULT_SUPEROP_MAX_QUBITS``, the cap under which one is written."""
-    doc = _load_json(path)
-    _check_header(doc, KIND_COEFFICIENTS, path)
-    n = doc.get("n")
-    _require(
-        isinstance(n, int)
-        and not isinstance(n, bool)
-        and 1 <= n <= DEFAULT_SUPEROP_MAX_QUBITS,
-        path,
-        f"'n' must be an integer in [1, {DEFAULT_SUPEROP_MAX_QUBITS}], got {n!r}",
-    )
-    return _pairs_to_matrix(doc.get("data"), 4**n, path, "n")
+    return _read_matrix(path, (KIND_COEFFICIENTS,)).matrix
 
 
 def _model_document(
@@ -493,7 +497,7 @@ def write_model(
     values: list[Any] = [None] * (2 * len(labels))
     values[0::2] = labels
     values[1::2] = probs.tolist()
-    return _write_json(path, document, "entries", 1, _ENTRY_ROW, [values])
+    return dump_json(path, document, key="entries", row=_ENTRY_ROW, blocks=[values])
 
 
 def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
@@ -502,14 +506,8 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     ``strict`` additionally enforces that kept probabilities, truncated
     weight, and leakage close the budget to 1 within ``DEFAULT_TOL``.
     """
-    doc = _load_json(path)
-    _check_header(doc, KIND_MODEL, path)
-    n = doc.get("n")
-    _require(
-        isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_MODEL_QUBITS,
-        path,
-        f"'n' must be an integer in [1, {MAX_MODEL_QUBITS}], got {n!r}",
-    )
+    doc, _ = _load_document(path, (KIND_MODEL,))
+    n = _int_field(doc.get("n"), "n", path, 1, MAX_MODEL_QUBITS)
     entries = doc.get("entries")
     _require(isinstance(entries, list), path, "'entries' must be a list")
     by_index: dict[int, float] = {}
@@ -531,27 +529,11 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
             path,
             f"'entries[{i}].label' {label!r} appears more than once",
         )
-        prob = _finite_number(raw.get("probability"))
-        _require(
-            prob is not None and 0.0 <= prob <= 1.0,
-            path,
-            f"'entries[{i}].probability' must be a number in [0, 1], "
-            f"got {raw.get('probability')!r}",
+        by_index[index] = _number_field(
+            raw.get("probability"), f"entries[{i}].probability", path, 1.0
         )
-        by_index[index] = prob
-    leakage = _finite_number(doc.get("leakage_weight", 0.0))
-    _require(
-        leakage is not None and 0.0 <= leakage <= 1.0,
-        path,
-        f"'leakage_weight' must be a number in [0, 1], got {doc.get('leakage_weight')!r}",
-    )
-    truncated = _finite_number(doc.get("truncated_weight", 0.0))
-    _require(
-        truncated is not None and truncated >= 0.0,
-        path,
-        "'truncated_weight' must be a nonnegative number, "
-        f"got {doc.get('truncated_weight')!r}",
-    )
+    leakage = _number_field(doc.get("leakage_weight", 0.0), "leakage_weight", path, 1.0)
+    truncated = _number_field(doc.get("truncated_weight", 0.0), "truncated_weight", path)
     diag_raw = doc.get("diagnostics")
     _require(isinstance(diag_raw, dict), path, "'diagnostics' must be an object")
 
@@ -669,9 +651,11 @@ def chain_to_probabilities(text: str, n: int) -> dict[str, float]:
         chars = ["I"] * n
         for target in line[close + 1 :].split():
             pauli, qubit_text = target[0], target[1:]
-            if pauli not in "XYZ" or not qubit_text.isdigit():
+            # ASCII digits only (str.isdigit admits "²"); a number with more
+            # digits than n - 1 is out of range and never reaches int().
+            if pauli not in "XYZ" or not (qubit_text.isascii() and qubit_text.isdigit()):
                 raise ModelFormatError(f"chain line {k + 1} has malformed target {target!r}")
-            qubit = int(qubit_text)
+            qubit = int(qubit_text) if len(qubit_text) <= len(str(n - 1)) else n
             if qubit >= n or chars[qubit] != "I":
                 raise ModelFormatError(
                     f"chain line {k + 1} target {target!r} is out of range or repeated"

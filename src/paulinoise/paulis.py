@@ -23,6 +23,8 @@ Conventions used consistently across the package:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .errors import DimensionError, PhysicalityError, SizeLimitError
@@ -84,6 +86,18 @@ def check_qubits(n: int, cap: int) -> int:
             f"qubit count {n} is outside the supported range [1, {cap}]"
         )
     return n
+
+
+def mapping_qubits(labels: Iterable[str], cap: int, noun: str) -> int:
+    """The qubit count that the labels of a ``noun`` mapping share, held to
+    ``[1, cap]``; :class:`DimensionError` if there are no labels or their
+    lengths differ."""
+    lengths = {len(validate_label(label)) for label in labels}
+    if not lengths:
+        raise DimensionError(f"{noun} mapping is empty")
+    if len(lengths) != 1:
+        raise DimensionError(f"{noun} mapping mixes labels of different lengths")
+    return check_qubits(lengths.pop(), cap)
 
 
 def check_levels(dim: int, cap: int) -> None:

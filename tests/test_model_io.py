@@ -40,6 +40,7 @@ from paulinoise.model_io import (
     KIND_SUPEROPERATOR,
     model_to_document,
 )
+from paulinoise.paulis import MAX_MODEL_QUBITS
 
 
 def test_operator_file_round_trip_is_exact(tmp_path):
@@ -273,6 +274,9 @@ def test_ensemble_write_validation(tmp_path):
             None,
             [EnsembleMember(0.5, np.eye(2)), EnsembleMember(0.5, np.eye(4))],
         )
+    # One level: the reader would refuse the document.
+    with pytest.raises(ModelFormatError, match="'dim' must be an integer >= 2, got 1"):
+        write_ensemble_file(None, [EnsembleMember(1.0, np.eye(1))])
 
 
 def test_ensemble_read_rejects_negative_weight(tmp_path):
@@ -305,6 +309,56 @@ def test_coefficient_file_n_is_held_to_the_channel_cap(tmp_path, n):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=r"'n' must be an integer in \[1, 5\]"):
         read_coefficient_file(path)
+
+
+def test_coefficient_writer_holds_n_to_the_reader_cap():
+    # A zero-stride view: the 4**6-sided matrix takes no memory, and the
+    # writer refuses it before any value is read.
+    wide = np.broadcast_to(np.zeros(1, dtype=complex), (4**6, 4**6))
+    with pytest.raises(ModelFormatError, match=r"'n' must be an integer in \[1, 5\], got 6"):
+        write_coefficient_file(None, wide)
+
+
+#: Each size field: a writer of a valid document, its reader, the field and
+#: its bounds (no upper bound when ``None``).
+SIZE_FIELDS = {
+    "operator-dim": (
+        lambda p: write_matrix_file(p, np.eye(2), KIND_OPERATOR), read_matrix_file, "dim", 2, None
+    ),
+    "superoperator-dim": (
+        lambda p: write_matrix_file(p, np.eye(4), KIND_SUPEROPERATOR),
+        read_matrix_file, "dim", 2, None,
+    ),
+    "ensemble-dim": (
+        lambda p: write_ensemble_file(p, [EnsembleMember(1.0, np.eye(2))]),
+        read_ensemble_file, "dim", 2, None,
+    ),
+    "coefficient-n": (
+        lambda p: write_coefficient_file(p, np.eye(4)), read_coefficient_file, "n", 1, 5
+    ),
+    "model-n": (
+        lambda p: write_model(p, nearest_pauli_channel(np.array([1.0, 0, 0, 0]))),
+        read_model, "n", 1, MAX_MODEL_QUBITS,
+    ),
+}
+SIZE_CASES = [
+    (name, value)
+    for name, (_, _, _, low, high) in SIZE_FIELDS.items()
+    for value in [True, 2.0, "2", low - 1] + ([high + 1] if high is not None else [])
+]
+
+
+@pytest.mark.parametrize("name, value", SIZE_CASES, ids=[f"{n}={v!r}" for n, v in SIZE_CASES])
+def test_every_size_field_is_an_integer_within_its_bounds(tmp_path, name, value):
+    write, read, field, _, _ = SIZE_FIELDS[name]
+    path = tmp_path / "doc.json"
+    write(path)
+    read(path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=rf"'{field}' must be an integer"):
+        read(path)
 
 
 def test_chain_export_single_qubit_hand_values():
@@ -404,6 +458,17 @@ def test_chain_parse_errors():
         chain_to_probabilities(
             "CORRELATED_ERROR(0.1) X0\nELSE_CORRELATED_ERROR(0.1) X0\n", 1
         )
+
+
+@pytest.mark.parametrize(
+    "target", ["X\u00b2", "X" + "1" * 5000], ids=["superscript", "5000-digits"]
+)
+def test_chain_parse_rejects_qubit_numbers_int_cannot_take(target):
+    # str.isdigit admits "²", and int() refuses more than 4300 digits; both
+    # used to escape as a bare ValueError.
+    text = f"CORRELATED_ERROR(0.1) X0\nELSE_CORRELATED_ERROR(0.1) {target}\n"
+    with pytest.raises(ModelFormatError, match="chain line 2"):
+        chain_to_probabilities(text, 3)
 
 
 def _reference_pairs(pairs: list) -> np.ndarray:

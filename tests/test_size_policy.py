@@ -13,6 +13,7 @@ import pytest
 
 import paulinoise.extraction
 from paulinoise import (
+    DimensionError,
     EnsembleMember,
     LeakageSpec,
     PhysicalityError,
@@ -21,6 +22,7 @@ from paulinoise import (
     extract_from_ensemble,
     extract_from_unitary,
     lift_unitary,
+    nearest_pauli_channel,
     pauli_channel,
     random_unitary,
     read_model,
@@ -48,6 +50,23 @@ def test_check_levels_allows_non_power_of_two_spaces():
 def test_pauli_channel_takes_the_channel_route_cap():
     with pytest.raises(SizeLimitError, match=f"\\[1, {DEFAULT_SUPEROP_MAX_QUBITS}\\]"):
         pauli_channel({"I" * 10: 1.0})
+
+
+@pytest.mark.parametrize(
+    "build, noun, cap",
+    [
+        (pauli_channel, "probability", DEFAULT_SUPEROP_MAX_QUBITS),
+        (nearest_pauli_channel, "weight", MAX_MODEL_QUBITS),
+    ],
+    ids=["pauli_channel", "nearest_pauli_channel"],
+)
+def test_label_mappings_are_checked_alike(build, noun, cap):
+    with pytest.raises(DimensionError, match=f"^{noun} mapping is empty$"):
+        build({})
+    with pytest.raises(DimensionError, match=f"^{noun} mapping mixes labels of different lengths$"):
+        build({"I": 0.5, "XX": 0.5})
+    with pytest.raises(SizeLimitError, match=rf"\[1, {cap}\]"):
+        build({"I" * (cap + 1): 1.0})
 
 
 def test_lift_unitary_takes_half_the_model_cap():
