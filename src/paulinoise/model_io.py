@@ -95,6 +95,19 @@ def _fail(path: str | Path | None, message: str) -> ModelFormatError:
     return ModelFormatError(prefix + message)
 
 
+#: Characters of an offending input string that an error message echoes.
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    """``repr`` of ``text`` for an error message: cut to its first
+    ``_ECHO_CHARS`` characters and its length when it is longer, so that a
+    message stays short whatever the input."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _reject_nonfinite_constant(token: str) -> float:
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
@@ -259,15 +272,14 @@ def _pairs_to_matrix(
     # finiteness test; the per-entry loop below runs only to name the first
     # bad entry.
     values = None
-    if (
-        set(map(type, pairs)) == {list}
-        and set(map(len, pairs)) == {2}
-        and set(map(type, itertools.chain.from_iterable(pairs))) <= set(_NUMBER_TYPES)
-    ):
-        try:
-            values = np.array(pairs, dtype=float)
-        except OverflowError:
-            pass
+    if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+        # numpy converts a flat list of floats faster than a list of pairs.
+        flat = list(itertools.chain.from_iterable(pairs))
+        if set(map(type, flat)) <= set(_NUMBER_TYPES):
+            try:
+                values = np.array(flat, dtype=float)
+            except OverflowError:
+                pass
     if values is None or not np.isfinite(values).all():
         for i, pair in enumerate(pairs):
             _require(
@@ -282,7 +294,7 @@ def _pairs_to_matrix(
                 path,
                 f"'data[{i}]' contains a non-finite value",
             )
-    # Each row [re, im] of the C-ordered float array is one complex double.
+    # Each [re, im] pair of the flat float array is one complex double.
     return values.view(complex).reshape(rows, rows)
 
 
@@ -635,7 +647,7 @@ def chain_to_probabilities(text: str, n: int) -> dict[str, float]:
         expected = "CORRELATED_ERROR" if k == 0 else "ELSE_CORRELATED_ERROR"
         if not line.startswith(expected + "("):
             raise ModelFormatError(
-                f"chain line {k + 1} must start with {expected}(, got {line!r}"
+                f"chain line {k + 1} must start with {expected}(, got {_echo(line)}"
             )
         close = line.find(")")
         if close < 0:
@@ -654,11 +666,11 @@ def chain_to_probabilities(text: str, n: int) -> dict[str, float]:
             # ASCII digits only (str.isdigit admits "²"); a number with more
             # digits than n - 1 is out of range and never reaches int().
             if pauli not in "XYZ" or not (qubit_text.isascii() and qubit_text.isdigit()):
-                raise ModelFormatError(f"chain line {k + 1} has malformed target {target!r}")
+                raise ModelFormatError(f"chain line {k + 1} has malformed target {_echo(target)}")
             qubit = int(qubit_text) if len(qubit_text) <= len(str(n - 1)) else n
             if qubit >= n or chars[qubit] != "I":
                 raise ModelFormatError(
-                    f"chain line {k + 1} target {target!r} is out of range or repeated"
+                    f"chain line {k + 1} target {_echo(target)} is out of range or repeated"
                 )
             chars[qubit] = pauli
         label = "".join(chars)

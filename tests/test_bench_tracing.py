@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+import paulinoise.cli
 from paulinoise import EnsembleMember, write_ensemble_file, write_matrix_file
 from paulinoise.cli import run_cli
 from paulinoise.model_io import KIND_OPERATOR, KIND_SUPEROPERATOR
@@ -64,3 +65,17 @@ def test_instrument_binds_every_traced_name(tmp_path, capsys):
         "model_io.write_coeffs",
     } <= set(names)
     capsys.readouterr()
+
+
+def test_traced_parses_stack_no_wrappers():
+    # The trace rebinds parse_args on each parser build_parser returns. Were
+    # that one shared parser, each traced op would wrap the last op's
+    # wrapper, and the stack would overflow within about a thousand ops.
+    tracing = _load_tracing()
+    instrument = tracing.Instrument(tracing.Tracer())
+    with instrument.bound():
+        for _ in range(1500):
+            args = paulinoise.cli.build_parser().parse_args(["demo", "triangle"])
+    assert args.demo_name == "triangle"
+    names = [span[0] for span in instrument.tracer.spans]
+    assert names.count("cli.parse") == 2 * 1500

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,55 @@ def test_cli_outputs_are_byte_deterministic(tmp_path):
     run_cli(["gen", "random-unitary", "--n", "2", "--seed", "5", "-o", str(r1)])
     run_cli(["gen", "random-unitary", "--n", "2", "--seed", "5", "-o", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    first = paulinoise.cli.build_parser()
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a rebinding reached the shared parser")
+
+    first.parse_args = broken
+    try:
+        second = paulinoise.cli.build_parser()
+        assert second is not first
+        assert second.parse_args(["demo", "triangle"]).epsilon == 0.1
+    finally:
+        del first.parse_args
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # One parser serves every call in a process; an earlier call's options,
+    # or a usage error, must not reach a later call's output.
+    ez = tmp_path / "ez.json"
+    assert run_cli(["gen", "ez", "--epsilon", "0.1", "-o", str(ez)]) == 0
+    extract = ["extract", "--unitary", str(ez)]
+    loose = tmp_path / "loose.json"
+    assert run_cli(extract + ["--tol", "1e-3", "--allow-nonphysical", "-o", str(loose)]) == 0
+    assert run_cli(extract + ["--tol", "-1"]) == 2
+    plain = tmp_path / "plain.json"
+    assert run_cli(extract + ["-o", str(plain)]) == 0
+    provenance = json.loads(plain.read_text())["provenance"]
+    assert provenance["tol"] == 1e-9
+    assert provenance["allow_nonphysical"] is False
+
+    fresh = tmp_path / "fresh.json"
+    env = dict(os.environ)
+    src = str(Path(paulinoise.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    main = "from paulinoise.cli import main; main()"
+    proc = subprocess.run(
+        [sys.executable, "-c", main, *extract, "-o", str(fresh)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert plain.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
 
 
 def test_extract_channel_flow(tmp_path):

@@ -461,14 +461,24 @@ def test_chain_parse_errors():
 
 
 @pytest.mark.parametrize(
-    "target", ["X\u00b2", "X" + "1" * 5000], ids=["superscript", "5000-digits"]
+    "target",
+    ["X\u00b2", "X" + "1" * 5000, "X" + "1" * 5000 + "\u00b2"],
+    ids=["superscript", "5000-digits", "5000-digits-superscript"],
 )
 def test_chain_parse_rejects_qubit_numbers_int_cannot_take(target):
     # str.isdigit admits "²", and int() refuses more than 4300 digits; both
-    # used to escape as a bare ValueError.
+    # used to escape as a bare ValueError. The message echoes a capped target.
     text = f"CORRELATED_ERROR(0.1) X0\nELSE_CORRELATED_ERROR(0.1) {target}\n"
-    with pytest.raises(ModelFormatError, match="chain line 2"):
+    with pytest.raises(ModelFormatError, match="chain line 2") as info:
         chain_to_probabilities(text, 3)
+    assert len(str(info.value)) < 200
+
+
+def test_chain_parse_caps_an_echoed_line():
+    with pytest.raises(ModelFormatError, match="chain line 1 must start") as info:
+        chain_to_probabilities("Q" * 5000 + "\n", 1)
+    assert len(str(info.value)) < 200
+    assert "(5000 characters)" in str(info.value)
 
 
 def _reference_pairs(pairs: list) -> np.ndarray:
