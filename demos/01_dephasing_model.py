@@ -9,16 +9,16 @@ probability cos(eps)^2 and applies Z with probability sin(eps)^2.
 
 import numpy as np
 
-from paulinoise import extract_from_unitary, z_rotation
+from paulinoise import extract_from_unitary, label_to_index, z_rotation
 
 for eps in (0.02, 0.05, 0.1, 0.3):
     result = extract_from_unitary(z_rotation(eps))
     model = result.model
-    coeffs = result.coefficients
+    amps = result.amplitudes[0]
 
     print(f"eps = {eps}")
-    print(f"  amplitude on I: {coeffs['I']:.12f}   (cos eps  = {np.cos(eps):.12f})")
-    print(f"  amplitude on Z: {coeffs['Z']:.12f}   (-i sin eps)")
+    print(f"  amplitude on I: {amps[label_to_index('I')]:.12f}   (cos eps  = {np.cos(eps):.12f})")
+    print(f"  amplitude on Z: {amps[label_to_index('Z')]:.12f}   (-i sin eps)")
     print(f"  model I: {model.probability('I'):.12f}   (cos^2 = {np.cos(eps)**2:.12f})")
     print(f"  model Z: {model.probability('Z'):.12f}   (sin^2 = {np.sin(eps)**2:.12f})")
 

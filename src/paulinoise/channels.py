@@ -27,6 +27,7 @@ in :mod:`paulinoise.paulis`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -39,15 +40,13 @@ from .paulis import (
     check_levels,
     qubit_count,
     require_unitary,
+    square_matrix,
 )
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:
     """Row-major vectorization: ``vec(O)[a * D + b] = O[a, b]``."""
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise DimensionError(f"expected a square operator, got shape {op.shape}")
-    return op.reshape(-1)
+    return square_matrix(op).reshape(-1)
 
 
 def devectorize(vec: np.ndarray) -> np.ndarray:
@@ -55,24 +54,23 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 1:
         raise DimensionError(f"expected a vector, got shape {vec.shape}")
-    dim = int(round(np.sqrt(vec.size)))
-    if dim * dim != vec.size:
-        raise DimensionError(f"vector length {vec.size} is not a perfect square")
+    dim = _square_side(vec.size, "vector length")
     return vec.reshape(dim, dim)
+
+
+def _square_side(count: int, what: str) -> int:
+    """The ``d`` with ``d * d == count``, in exact integer arithmetic;
+    :class:`DimensionError` naming ``what`` if there is none."""
+    side = math.isqrt(count)
+    if side * side != count:
+        raise DimensionError(f"{what} {count} is not a perfect square")
+    return side
 
 
 def superoperator_dims(s: np.ndarray) -> tuple[int, int]:
     """Validate a superoperator shape and return ``(D^2, D)``."""
-    s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionError(f"expected a square superoperator, got shape {s.shape}")
-    d2 = s.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise DimensionError(
-            f"superoperator dimension {d2} is not the square of an operator dimension"
-        )
-    return d2, d
+    d2 = square_matrix(s, "superoperator").shape[0]
+    return d2, _square_side(d2, "superoperator dimension")
 
 
 def lift_unitary(
@@ -88,9 +86,7 @@ def lift_unitary(
     of ``d`` levels holds ``d**4`` entries, so ``d`` is capped at
     ``2**(MAX_MODEL_QUBITS // 2)``: no more entries than the largest model.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square operator, got shape {u.shape}")
+    u = square_matrix(u)
     check_levels(u.shape[0], MAX_MODEL_QUBITS // 2)
     if not allow_nonphysical:
         require_unitary(u, tol, name="lift_unitary input")

@@ -66,6 +66,7 @@ from .paulis import (
     pauli_qubit_count,
     qubit_count,
     require_unitary,
+    square_matrix,
 )
 
 @dataclass(frozen=True)
@@ -131,6 +132,7 @@ class PauliNoiseModel:
     )
 
     def __post_init__(self) -> None:
+        check_qubits(self.n, MAX_MODEL_QUBITS)
         probs = np.array(self.probs, dtype=np.float64)
         if probs.shape != (4**self.n,):
             raise DimensionError(
@@ -239,14 +241,6 @@ class ExtractionResult:
     amplitudes: np.ndarray | None = None
     mixture: np.ndarray | None = None
 
-    @property
-    def coefficients(self) -> dict[str, complex] | None:
-        """Pauli amplitudes of the error unitary by label, when there is one."""
-        if self.amplitudes is None or self.amplitudes.shape[0] != 1:
-            return None
-        labels = pauli_labels(np.arange(self.amplitudes.shape[1]), self.model.n)
-        return dict(zip(labels, self.amplitudes[0].tolist()))
-
     def weight_matrix(self) -> np.ndarray:
         if self.channel is not None:
             return coefficient_matrix(self.channel)
@@ -267,18 +261,27 @@ def error_unitary(
     Equals the identity exactly when the gate is perfect. Both inputs must be
     unitary within ``tol`` unless ``allow_nonphysical`` is set.
     """
-    u = np.asarray(u, dtype=complex)
-    u0 = np.asarray(u0, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square implementation, got shape {u.shape}")
-    if u0.shape != u.shape:
-        raise DimensionError(
-            f"implementation {u.shape} and target {u0.shape} dimensions differ"
-        )
+    u = square_matrix(u, "implementation")
+    u0_dag = _target_adjoint(u0, u.shape[0], tol, allow_nonphysical)
     if not allow_nonphysical:
         require_unitary(u, tol, name="implementation")
-        require_unitary(u0, tol, name="target")
-    return u @ u0.conj().T
+    return u @ u0_dag
+
+
+def _target_adjoint(
+    target: np.ndarray, dim: int, tol: float, allow_nonphysical: bool = False
+) -> np.ndarray:
+    """``target^dag``, for a target checked to be ``dim x dim`` and, unless
+    ``allow_nonphysical`` is set, unitary within ``tol``: the one target
+    check of every route."""
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (dim, dim):
+        raise DimensionError(
+            f"target shape {target.shape} does not match the input dimension {dim}"
+        )
+    if not allow_nonphysical:
+        require_unitary(target, tol, name="target")
+    return target.conj().T
 
 
 def _amplitudes(m: np.ndarray, n: int) -> np.ndarray:
@@ -298,9 +301,9 @@ def pauli_coefficients(
     dimension; blocks embedded in larger spaces keep their own dimension.
     The labels come from :func:`pauli_basis`, so its cap applies.
     """
-    m = np.asarray(u_err, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square operator, got shape {m.shape}")
+    m = square_matrix(u_err)
+    if norm_dim is not None and norm_dim < 1:
+        raise ValueError("norm_dim must be a positive integer")
     n = qubit_count(m.shape[0])
     labels = pauli_basis(n)
     amp = _amplitudes(m, n)
@@ -319,14 +322,8 @@ def error_channel(
     ``s`` composed after conjugation by ``u0^dag``."""
     s = np.asarray(s, dtype=complex)
     _, d = superoperator_dims(s)
-    u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (d, d):
-        raise DimensionError(
-            f"target shape {u0.shape} does not match the channel dimension {d}"
-        )
-    require_unitary(u0, tol, name="target")
-    # u0 was just validated; its adjoint needs no second check.
-    return compose(s, lift_unitary(u0.conj().T, allow_nonphysical=True))
+    # The adjoint of a checked unitary needs no second check.
+    return compose(s, lift_unitary(_target_adjoint(u0, d, tol), allow_nonphysical=True))
 
 
 def coefficient_matrix(s: np.ndarray) -> np.ndarray:
@@ -362,9 +359,7 @@ def coherent_residual(w: np.ndarray) -> float:
     choice of probabilities can remove; it vanishes iff the coefficient
     matrix is diagonal.
     """
-    w = np.asarray(w, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionError(f"expected a square coefficient matrix, got {w.shape}")
+    w = square_matrix(w, "coefficient matrix")
     return _off_diagonal_sq(float(np.sum(np.abs(w) ** 2)), np.diagonal(w))
 
 
@@ -492,8 +487,7 @@ def nearest_pauli_channel(
         return _assemble_model(diag, leakage_weight, None, tol)
     arr = np.asarray(weights, dtype=complex)
     if arr.ndim == 2:
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"coefficient matrix must be square, got {arr.shape}")
+        arr = square_matrix(arr, "coefficient matrix")
         total_sq = float(np.sum(np.abs(arr) ** 2))
         return _assemble_model(np.diagonal(arr), leakage_weight, total_sq, tol)
     if arr.ndim == 1:
@@ -627,9 +621,7 @@ def extract_from_unitary(
     :func:`extract_from_ensemble`); the full matrix is available from the
     result on demand. ``allow_nonphysical`` skips the unitarity checks.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square operator, got shape {u.shape}")
+    u = square_matrix(u)
     if target is None:
         target = np.eye(u.shape[0], dtype=complex)
     err = error_unitary(u, target, tol=tol, allow_nonphysical=allow_nonphysical)
@@ -659,14 +651,7 @@ def extract_from_ensemble(
     weights, unitaries = _ensemble_arrays(members, tol=tol)
     errs = unitaries
     if target is not None:
-        target = np.asarray(target, dtype=complex)
-        if target.shape != unitaries.shape[1:]:
-            raise DimensionError(
-                f"target shape {target.shape} does not match the ensemble "
-                f"dimension {unitaries.shape[1]}"
-            )
-        require_unitary(target, tol, name="target")
-        errs = unitaries @ target.conj().T
+        errs = unitaries @ _target_adjoint(target, unitaries.shape[1], tol)
     if not allow_nonphysical:
         # trace_preservation_defect of sum_k p_k kron(E_k, E_k^*), without the
         # superoperator. A real-weighted mixture of conjugations preserves

@@ -26,6 +26,7 @@ from .paulis import (
     mapping_qubits,
     pauli_matrix,
     require_unitary,
+    square_matrix,
 )
 
 #: Probability vectors must hit the simplex this tightly.
@@ -71,11 +72,7 @@ class EnsembleMember:
     unitary: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unitary", np.asarray(self.unitary, dtype=complex))
-        if self.unitary.ndim != 2 or self.unitary.shape[0] != self.unitary.shape[1]:
-            raise DimensionError(
-                f"ensemble member must be a square matrix, got {self.unitary.shape}"
-            )
+        object.__setattr__(self, "unitary", square_matrix(self.unitary, "ensemble member"))
         if not np.isfinite(self.weight) or self.weight < 0.0:
             raise ValueError(f"ensemble weight must be nonnegative, got {self.weight!r}")
 
@@ -92,7 +89,7 @@ def pauli_channel(
     missing labels mean probability 0. The probabilities must be nonnegative
     and sum to 1 within ``simplex_tol``.
     """
-    n = mapping_qubits(probabilities, DEFAULT_SUPEROP_MAX_QUBITS, "probability")
+    mapping_qubits(probabilities, DEFAULT_SUPEROP_MAX_QUBITS, "probability")
     values = np.array([float(v) for v in probabilities.values()])
     if np.any(~np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("probabilities must be finite and nonnegative")
@@ -101,13 +98,20 @@ def pauli_channel(
         raise ValueError(
             f"probabilities sum to {total!r}, not 1 within {simplex_tol:g}"
         )
-    dim = 2**n
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for label, prob in probabilities.items():
-        if prob == 0.0:
-            continue
-        p = pauli_matrix(label)
-        s += float(prob) * np.kron(p, p.conj())
+    return _lift_mixture(values, map(pauli_matrix, probabilities))
+
+
+def _lift_mixture(weights: Iterable[float], ops: Iterable[np.ndarray]) -> np.ndarray:
+    """Superoperator ``sum_k w_k kron(A_k, A_k.conj())`` of a weighted mixture
+    of conjugations; zero weights add nothing and are skipped. At least one
+    weight must be nonzero."""
+    s = None
+    for weight, op in zip(weights, ops):
+        if weight != 0.0:
+            term = weight * np.kron(op, op.conj())
+            if s is None:
+                s = np.zeros_like(term)  # onto zeros, so no entry is -0.0
+            s += term
     return s
 
 
@@ -152,8 +156,4 @@ def average_channel(
     lift.
     """
     weights, unitaries = _ensemble_arrays(members, simplex_tol=simplex_tol, tol=tol)
-    dim = unitaries.shape[1]
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for weight, u in zip(weights, unitaries):
-        s += weight * np.kron(u, u.conj())
-    return s
+    return _lift_mixture(weights, unitaries)

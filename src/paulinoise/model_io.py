@@ -115,11 +115,16 @@ def _reject_nonfinite_constant(token: str) -> float:
 def _load_document(path: str | Path, kinds: tuple[str, ...]) -> tuple[dict[str, Any], str]:
     """The one entry of every reader: the JSON object in the file at
     ``path``, checked to carry this module's ``format_version`` and one of
-    ``kinds``, and that kind."""
+    ``kinds``, and that kind. The file is decoded as UTF-8, the encoding of
+    JSON, whatever the locale."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _fail(path, f"cannot read file ({exc})") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _fail(path, f"invalid UTF-8 ({exc})") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_nonfinite_constant)
     except ValueError as exc:

@@ -110,6 +110,15 @@ def check_levels(dim: int, cap: int) -> None:
         )
 
 
+def square_matrix(m: np.ndarray, noun: str = "operator") -> np.ndarray:
+    """``m`` as a complex array; :class:`DimensionError` naming ``noun``
+    unless it is a square matrix. The one shape check of every matrix input."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square {noun}, got shape {m.shape}")
+    return m
+
+
 def validate_label(label: str) -> str:
     """Return ``label`` unchanged if it is a well-formed Pauli string label."""
     if not isinstance(label, str) or len(label) == 0:
@@ -234,12 +243,10 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray, norm_dim: int | None = None) -
     superoperators. Callers working on a computational block embedded in a
     larger space pass the block dimension explicitly.
     """
-    a = np.asarray(a, dtype=complex)
+    a = square_matrix(a, "operand")
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise DimensionError(
-            f"operands must be square matrices of equal shape, got {a.shape} and {b.shape}"
-        )
+    if a.shape != b.shape:
+        raise DimensionError(f"operand shapes {a.shape} and {b.shape} differ")
     if norm_dim is None:
         norm_dim = a.shape[0]
     if norm_dim < 1:
@@ -249,9 +256,7 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray, norm_dim: int | None = None) -
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Largest entrywise deviation of ``u^dag u`` from the identity."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {u.shape}")
+    u = square_matrix(u, "matrix")
     gram = u.conj().T @ u
     return float(np.max(np.abs(gram - np.eye(u.shape[0]))))
 

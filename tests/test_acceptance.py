@@ -28,6 +28,7 @@ from paulinoise import (
     extract_from_channel,
     extract_from_unitary,
     frobenius_inner,
+    label_to_index,
     lift_unitary,
     nearest_pauli_channel,
     pauli_basis,
@@ -76,14 +77,14 @@ def test_criterion_1_dephasing_worked_example(request):
     worst = 0.0
     for eps in (0.05, 0.1, 0.3):
         result = extract_from_unitary(z_rotation(eps))
-        coeffs = result.coefficients
+        amps = result.amplitudes[0]
         model = result.model
         worst = max(
             worst,
-            abs(coeffs["I"] - np.cos(eps)),
-            abs(coeffs["Z"] - (-1j) * np.sin(eps)),
-            abs(coeffs["X"]),
-            abs(coeffs["Y"]),
+            abs(amps[label_to_index("I")] - np.cos(eps)),
+            abs(amps[label_to_index("Z")] - (-1j) * np.sin(eps)),
+            abs(amps[label_to_index("X")]),
+            abs(amps[label_to_index("Y")]),
             abs(model.probability("I") - np.cos(eps) ** 2),
             abs(model.probability("Z") - np.sin(eps) ** 2),
             model.probability("X"),

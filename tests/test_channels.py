@@ -42,7 +42,7 @@ def test_vectorize_round_trip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     np.testing.assert_array_equal(devectorize(vectorize(m)), m)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^vector length 5 is not a perfect square$"):
         devectorize(np.zeros(5))
     with pytest.raises(DimensionError):
         vectorize(np.zeros((2, 3)))
@@ -139,7 +139,7 @@ def test_compose_isolates_error_factor():
 def test_compose_shape_errors():
     with pytest.raises(DimensionError):
         compose(np.eye(4), np.eye(16))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^superoperator dimension 5 is not a perfect square$"):
         compose(np.eye(5), np.eye(5))
 
 

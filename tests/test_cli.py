@@ -294,6 +294,14 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    write_matrix_file(path, np.eye(2), KIND_OPERATOR)
+    path.write_bytes(path.read_bytes() + b"\xff")
+    assert run_cli(["extract", "--unitary", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid UTF-8")
+
+
 def test_bad_arguments_exit_2(capsys):
     assert run_cli(["extract"]) == 2
     assert run_cli(["no-such-command"]) == 2

@@ -118,7 +118,6 @@ def test_dephasing_pair_has_no_coherent_residual():
     assert abs(model.probability("I") - np.cos(eps) ** 2) < TOL
     assert abs(model.probability("Z") - np.sin(eps) ** 2) < TOL
     assert model.diagnostics.coherent_residual_sq < TOL
-    assert result.coefficients is None
 
 
 def test_six_qubit_ensemble_fits_the_unitary_cap():

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import paulinoise
 from paulinoise import (
     EnsembleMember,
     ModelDiagnostics,
@@ -91,6 +97,34 @@ def test_read_rejects_invalid_json(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ModelFormatError):
         read_matrix_file(path)
+
+
+def test_read_names_the_file_when_it_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.json"
+    write_matrix_file(path, np.eye(2), KIND_OPERATOR, meta={"note": "x"})
+    path.write_bytes(path.read_bytes().replace(b'"x"', b'"\xff"'))
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: invalid UTF-8 .*0xff"):
+        read_matrix_file(path)
+
+
+def test_read_decodes_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "accent.json"
+    write_matrix_file(path, np.eye(2), KIND_OPERATOR, meta={"note": "x"})
+    path.write_bytes(path.read_bytes().replace(b'"x"', '"\u00e9"'.encode("utf-8")))
+    # Under the C locale, with UTF-8 mode and locale coercion off, Python's
+    # default text encoding is ASCII; JSON is UTF-8 all the same.
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(paulinoise.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    code = (
+        "import sys; from paulinoise import read_matrix_file;"
+        " print(ascii(read_matrix_file(sys.argv[1]).meta))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True
+    )
+    assert (out.returncode, out.stdout) == (0, "{'note': '\\xe9'}\n"), out.stderr
 
 
 def test_read_rejects_missing_file(tmp_path):

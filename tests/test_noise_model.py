@@ -154,6 +154,13 @@ def test_model_vector_is_checked_and_read_only():
             PauliNoiseModel(n=bad_n, probs=bad_probs)
 
 
+@pytest.mark.parametrize("n", [0, -1, 13])
+def test_model_qubit_count_is_held_to_the_model_cap(n):
+    # One entry: the count is refused before any 4**n vector is asked for.
+    with pytest.raises(SizeLimitError, match=rf"^qubit count {n} is outside .*\[1, 12\]$"):
+        PauliNoiseModel(n=n, probs=[1.0])
+
+
 def test_model_equality_compares_vectors():
     a = nearest_pauli_channel(np.array([0.9, 0.1, 0.0, 0.0]))
     b = nearest_pauli_channel({"I": 0.9, "X": 0.1})

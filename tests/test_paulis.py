@@ -204,7 +204,7 @@ def test_frobenius_inner_conjugate_symmetry_and_norm_dim():
 
 
 def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^operand shapes \(2, 2\) and \(4, 4\) differ$"):
         frobenius_inner(np.eye(2), np.eye(4))
     with pytest.raises(DimensionError):
         frobenius_inner(np.zeros((2, 3)), np.zeros((2, 3)))
