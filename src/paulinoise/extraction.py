@@ -132,7 +132,7 @@ class PauliNoiseModel:
     )
 
     def __post_init__(self) -> None:
-        check_qubits(self.n, MAX_MODEL_QUBITS)
+        object.__setattr__(self, "n", check_qubits(self.n, MAX_MODEL_QUBITS))
         probs = np.array(self.probs, dtype=np.float64)
         if probs.shape != (4**self.n,):
             raise DimensionError(

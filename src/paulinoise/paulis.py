@@ -23,6 +23,7 @@ Conventions used consistently across the package:
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -80,7 +81,16 @@ _DIAG_MAP = np.stack(
 
 
 def check_qubits(n: int, cap: int) -> int:
-    """Return ``n`` if it lies in ``[1, cap]``; raise :class:`SizeLimitError` otherwise."""
+    """Return ``n`` as a plain ``int`` if it lies in ``[1, cap]``. Raise
+    :class:`DimensionError` if it is not an integer (a ``bool`` is not one)
+    and :class:`SizeLimitError` if it is out of range."""
+    try:
+        count = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        count = None
+    if count is None:
+        raise DimensionError(f"qubit count must be an integer, got {n!r}")
+    n = count
     if not 1 <= n <= cap:
         raise SizeLimitError(
             f"qubit count {n} is outside the supported range [1, {cap}]"

@@ -302,6 +302,16 @@ def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: invalid UTF-8")
 
 
+@pytest.mark.parametrize(
+    "argv", [["extract", "--unitary"], ["extract-channel", "--channel"], ["avg-extract", "--weights"]]
+)
+def test_deeply_nested_input_exits_2_naming_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert run_cli([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (")
+
+
 def test_bad_arguments_exit_2(capsys):
     assert run_cli(["extract"]) == 2
     assert run_cli(["no-such-command"]) == 2

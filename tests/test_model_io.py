@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,9 @@ from paulinoise.model_io import (
     model_to_document,
 )
 from paulinoise.paulis import MAX_MODEL_QUBITS
+
+#: A JSON document nested deeper than the decoder goes, in 10 kB.
+DEEP_DOCUMENT = "[" * 5000 + "]" * 5000
 
 
 def test_operator_file_round_trip_is_exact(tmp_path):
@@ -776,3 +781,145 @@ def test_writers_refuse_non_finite_values(tmp_path):
     with pytest.raises(ModelFormatError, match="matrix contains non-finite entries"):
         write_ensemble_file(path, members)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Every reader runs with the cyclic garbage collector paused, and leaves it
+# as it found it.
+
+#: Per reader: where a finite number sits in its document.
+READERS = {
+    "matrix": (read_matrix_file, lambda doc: doc["data"][0]),
+    "coefficients": (read_coefficient_file, lambda doc: doc["data"][0]),
+    "ensemble": (read_ensemble_file, lambda doc: doc["members"][0]["data"][0]),
+    "model": (read_model, lambda doc: doc["entries"][0]),
+}
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory) -> dict[str, Path]:
+    """One valid file per reader: an n = 3 superoperator, an n = 2
+    coefficient matrix, a 4-member n = 3 ensemble and an n = 5 model."""
+    tmp_path = tmp_path_factory.mktemp("readers")
+    rng = np.random.default_rng(41)
+    files = {name: tmp_path / f"{name}.json" for name in READERS}
+    write_matrix_file(files["matrix"], lift_unitary(random_unitary(3, 41)), KIND_SUPEROPERATOR)
+    write_coefficient_file(
+        files["coefficients"], rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    )
+    write_ensemble_file(
+        files["ensemble"], [EnsembleMember(0.25, random_unitary(3, 42 + k)) for k in range(4)]
+    )
+    probs = rng.dirichlet(np.ones(4**5))
+    write_model(
+        files["model"],
+        PauliNoiseModel(n=5, probs=probs, diagnostics=ModelDiagnostics(float(probs[0]))),
+    )
+    return files
+
+
+def _bad_file(tmp_path: Path, files: dict[str, Path], name: str, case: str) -> Path:
+    """A file that makes reader ``name`` fail in the way ``case`` names."""
+    path = tmp_path / f"{case}.json"
+    if case == "missing":
+        return path
+    if case == "invalid-utf8":
+        path.write_bytes(files[name].read_bytes() + b"\xff")
+    elif case == "invalid-json":
+        path.write_text("not json at all")
+    elif case == "too-deep":
+        path.write_text(DEEP_DOCUMENT)
+    elif case == "wrong-kind":
+        return files["matrix" if name == "model" else "model"]
+    elif case == "non-finite":
+        doc = json.loads(files[name].read_text())
+        row = READERS[name][1](doc)
+        row["probability" if name == "model" else 0] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', "1e999"))
+    return path
+
+
+def test_readers_run_no_collection(reader_files):
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        for name, path in reader_files.items():
+            READERS[name][0](path)
+    finally:
+        gc.callbacks.remove(hook)
+        if not enabled:
+            gc.disable()
+    assert started == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "case",
+    ["valid", "missing", "invalid-utf8", "invalid-json", "too-deep", "wrong-kind", "non-finite"],
+)
+@pytest.mark.parametrize("name", list(READERS))
+def test_readers_restore_the_collector_setting(tmp_path, reader_files, name, case, enabled):
+    if case == "valid":
+        path = reader_files[name]
+    else:
+        path = _bad_file(tmp_path, reader_files, name, case)
+    reader = READERS[name][0]
+    before = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if case == "valid":
+            reader(path)
+        else:
+            with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: "):
+                reader(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if before else gc.disable()
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_readers_refuse_deeply_nested_documents(tmp_path, name):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_DOCUMENT)
+    with pytest.raises(
+        ModelFormatError, match=f"^{re.escape(str(path))}: invalid JSON \\(maximum recursion"
+    ):
+        READERS[name][0](path)
+
+
+def test_concurrent_reads_leave_the_collector_on(tmp_path):
+    # The collector setting belongs to the process. More threads than cores
+    # and a short switch interval make reads overlap in every order; a read
+    # that saw another's pause as the caller's setting would leave it off.
+    path = tmp_path / "u.json"
+    write_matrix_file(path, np.eye(2), KIND_OPERATOR)
+    done: list[int] = []
+
+    def read_many():
+        for _ in range(50):
+            read_matrix_file(path)
+        done.append(50)
+
+    enabled, interval = gc.isenabled(), sys.getswitchinterval()
+    gc.enable()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            threads = [threading.Thread(target=read_many) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable() if enabled else gc.disable()
+    assert sum(done) == 20 * 8 * 50

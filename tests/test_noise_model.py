@@ -161,6 +161,22 @@ def test_model_qubit_count_is_held_to_the_model_cap(n):
         PauliNoiseModel(n=n, probs=[1.0])
 
 
+@pytest.mark.parametrize("n", [True, 1.5, "2"])
+def test_model_qubit_count_must_be_an_integer(n):
+    with pytest.raises(DimensionError, match=rf"^qubit count must be an integer, got {n!r}$"):
+        PauliNoiseModel(n=n, probs=[1.0, 0.0, 0.0, 0.0])
+
+
+def test_numpy_integer_qubit_count_round_trips(tmp_path):
+    model = PauliNoiseModel(
+        n=np.int64(1), probs=[0.9, 0.1, 0.0, 0.0], diagnostics=ModelDiagnostics(0.9)
+    )
+    assert type(model.n) is int
+    path = tmp_path / "model.json"
+    assert '\n  "n": 1,\n' in write_model(path, model)
+    assert read_model(path) == model
+
+
 def test_model_equality_compares_vectors():
     a = nearest_pauli_channel(np.array([0.9, 0.1, 0.0, 0.0]))
     b = nearest_pauli_channel({"I": 0.9, "X": 0.1})

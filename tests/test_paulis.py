@@ -168,6 +168,10 @@ def test_check_qubits():
     for n, cap in ((0, 6), (7, 6), (-1, 3)):
         with pytest.raises(SizeLimitError):
             check_qubits(n, cap)
+    assert type(check_qubits(np.int64(2), 6)) is int
+    for n in (True, 2.0, "2", None):
+        with pytest.raises(DimensionError, match="must be an integer"):
+            check_qubits(n, 6)
 
 
 def test_completeness_reconstructs_arbitrary_matrices():
