@@ -22,10 +22,8 @@ eps = 0.1
 coherent = lift_unitary(z_rotation(eps))
 model = extract_from_unitary(z_rotation(eps)).model
 
-nearest_z = pauli_channel(model.probabilities, simplex_tol=1e-9)
-same_fidelity_x = pauli_channel(
-    {"I": model.probability("I"), "X": model.probability("Z")}, simplex_tol=1e-9
-)
+nearest_z = pauli_channel(model.probabilities)
+same_fidelity_x = pauli_channel({"I": model.probability("I"), "X": model.probability("Z")})
 
 leg_z = channel_distance(coherent, nearest_z)
 leg_x = channel_distance(coherent, same_fidelity_x)

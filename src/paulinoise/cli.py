@@ -414,10 +414,8 @@ def _cmd_demo_triangle(args: argparse.Namespace) -> int:
     eps = args.epsilon
     coherent = lift_unitary(z_rotation(eps))
     model = extract_from_unitary(z_rotation(eps)).model
-    nearest_z = pauli_channel(model.probabilities, simplex_tol=1e-9)
-    pauli_x = pauli_channel(
-        {"I": model.probability("I"), "X": model.probability("Z")}, simplex_tol=1e-9
-    )
+    nearest_z = pauli_channel(model.probabilities)
+    pauli_x = pauli_channel({"I": model.probability("I"), "X": model.probability("Z")})
     leg_z = channel_distance(coherent, nearest_z)
     leg_x = channel_distance(coherent, pauli_x)
     base = channel_distance(nearest_z, pauli_x)

@@ -36,6 +36,7 @@ band ``[-tol, 1 + tol]`` within which diagonal weights are clamped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -120,7 +121,11 @@ class PauliNoiseModel:
     ``leakage_weight`` is the probability mass outside the computational
     subspace, and ``truncated_weight`` the mass of entries a written model
     dropped below its floor (0 for a model that was never written). For
-    physical inputs the three sum to 1.
+    physical inputs the three sum to 1, which :meth:`validate` checks.
+
+    Every probability and both weights are finite by construction: a
+    ``ValueError`` naming the first non-finite number refuses the model, so
+    no writer, reader or export ever meets NaN or inf.
     """
 
     n: int
@@ -139,6 +144,15 @@ class PauliNoiseModel:
                 f"a {self.n}-qubit model needs {4**self.n} probabilities in a "
                 f"vector, got shape {probs.shape}"
             )
+        # The first non-finite probability, if any, is named first.
+        index = int(np.argmin(np.isfinite(probs)))
+        for name, value in (
+            (f"probability for {index_to_label(index, self.n)!r}", probs[index]),
+            ("leakage_weight", self.leakage_weight),
+            ("truncated_weight", self.truncated_weight),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is {float(value)!r}, not a finite number")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -167,10 +181,15 @@ class PauliNoiseModel:
         return self.probs.copy()
 
     def total_weight(self) -> float:
-        return float(np.sum(self.probs) + self.leakage_weight + self.truncated_weight)
+        """Probabilities plus both weights, summed exactly and rounded once,
+        so a model and the file it is written to, whose entries below the
+        floor moved into ``truncated_weight``, have the same budget."""
+        return math.fsum(self.probs.tolist() + [self.leakage_weight, self.truncated_weight])
 
     def validate(self, tol: float = DEFAULT_TOL) -> "PauliNoiseModel":
-        """Check the probability budget; raises on violation, returns self."""
+        """Check the probability budget, the one rule of the strict writer and
+        the strict reader: every probability and both weights in ``[0, 1]``,
+        summing to 1 within ``tol``. Raises on violation, returns self."""
         outside = ~((self.probs >= 0.0) & (self.probs <= 1.0))
         if outside.any():
             index = int(np.argmax(outside))
@@ -178,14 +197,17 @@ class PauliNoiseModel:
                 f"probability for {index_to_label(index, self.n)!r} is "
                 f"{float(self.probs[index])!r}, outside [0, 1]"
             )
-        if not 0.0 <= self.leakage_weight <= 1.0:
-            raise PhysicalityError(
-                f"leakage weight {self.leakage_weight!r} is outside [0, 1]"
-            )
+        for name, weight in (
+            ("leakage weight", self.leakage_weight),
+            ("truncated weight", self.truncated_weight),
+        ):
+            if not 0.0 <= weight <= 1.0:
+                raise PhysicalityError(f"{name} {weight!r} is outside [0, 1]")
         total = self.total_weight()
         if abs(total - 1.0) > tol:
             raise PhysicalityError(
-                f"probabilities plus leakage sum to {total!r}, not 1 within {tol:g}"
+                f"probabilities, truncated weight and leakage sum to {total!r}, "
+                f"not 1 within {tol:g}"
             )
         return self
 
@@ -369,6 +391,13 @@ def _off_diagonal_sq(total_sq: float, diag: np.ndarray) -> float:
     return max(total_sq - float(np.sum(np.abs(diag) ** 2)), 0.0)
 
 
+#: Why a route refuses weights or diagnostics that are not finite.
+_NON_FINITE_WEIGHTS = (
+    "the input's Pauli weights are not finite: they overflow double "
+    "precision, or the input holds a non-finite number"
+)
+
+
 def _assemble_model(
     diag: np.ndarray,
     leakage_weight: float,
@@ -380,7 +409,8 @@ def _assemble_model(
 
     ``total_sq`` is the source channel's total weight ``sum_PQ |w_PQ|^2``;
     with it the coherent residual and the distance to the source are
-    recorded, without it (``None``) both stay ``None``.
+    recorded, without it (``None``) both stay ``None``. Weights or
+    diagnostics that are not finite raise ``ValueError``.
 
     Imaginary parts within ``tol`` are removed; larger ones are a
     physicality error. Real parts are clamped to ``[0, 1]``, but weights
@@ -392,13 +422,24 @@ def _assemble_model(
     """
     diag = np.asarray(diag, dtype=complex).reshape(-1)
     n = pauli_qubit_count(diag.size)
+    real = diag.real
+    residual_sq = distance = None
+    # Weights beyond double precision become inf or NaN here, silently, and
+    # are refused before any check below reads them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.clip(real, 0.0, 1.0)
+        if total_sq is not None:
+            residual_sq = _off_diagonal_sq(total_sq, diag)
+            mismatch_sq = float(np.sum(np.abs(diag - probs) ** 2))
+            distance = float(np.sqrt(residual_sq + mismatch_sq))
+    if not (np.isfinite(diag).all() and (distance is None or math.isfinite(distance))):
+        raise ValueError(_NON_FINITE_WEIGHTS)
     max_imag = float(np.max(np.abs(diag.imag)))
     if max_imag > tol:
         raise PhysicalityError(
             f"diagonal weights have imaginary parts up to {max_imag:.3e}, beyond "
             f"the clamping tolerance {tol:g}"
         )
-    real = diag.real
     worst = int(np.argmin(real))
     if real[worst] < -tol:
         raise PhysicalityError(
@@ -413,12 +454,6 @@ def _assemble_model(
             f"weights above 1 + {tol:g} indicate a non-physical "
             "channel and are not clamped"
         )
-    probs = np.clip(real, 0.0, 1.0)
-    residual_sq = distance = None
-    if total_sq is not None:
-        residual_sq = _off_diagonal_sq(total_sq, diag)
-        mismatch_sq = float(np.sum(np.abs(diag - probs) ** 2))
-        distance = float(np.sqrt(residual_sq + mismatch_sq))
     diagnostics = ModelDiagnostics(
         identity_prob=float(probs[0]),
         coherent_residual_sq=residual_sq,
@@ -448,11 +483,13 @@ def _result_from_amplitudes(
     diagonal is taken from ``sum_P |a_kP|^2``, so a single unitary
     (``K = 1``) gets exactly the closed form ``total**2 - sum_P w_PP**2``.
     """
-    power = np.abs(amplitudes) ** 2
-    diag = mixture @ power
-    gram = np.abs(amplitudes.conj() @ amplitudes.T) ** 2
-    np.fill_diagonal(gram, power.sum(axis=1) ** 2)
-    total_sq = float(mixture @ gram @ mixture)
+    # An overflow here is refused by _assemble_model, which sees its inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(amplitudes) ** 2
+        diag = mixture @ power
+        gram = np.abs(amplitudes.conj() @ amplitudes.T) ** 2
+        np.fill_diagonal(gram, power.sum(axis=1) ** 2)
+        total_sq = float(mixture @ gram @ mixture)
     model = _assemble_model(
         diag.astype(complex), leakage_weight, total_sq, tol, allow_nonphysical
     )
@@ -497,7 +534,10 @@ def nearest_pauli_channel(
 
 def _leakage_in_range(leak: float, tol: float, source: str) -> float:
     """``leak`` clipped to ``[0, 1]``; beyond ``tol`` outside that range the
-    input was not ``source`` on the full space."""
+    input was not ``source`` on the full space. A non-finite ``leak`` is
+    refused as non-finite weights are on every route."""
+    if not math.isfinite(leak):
+        raise ValueError(_NON_FINITE_WEIGHTS)
     if not -tol <= leak <= 1.0 + tol:
         raise PhysicalityError(
             f"leakage weight {leak!r} is outside [0, 1] by more than {tol:g}; the "
@@ -539,7 +579,8 @@ def leakage_project(
         )
     idx = np.array(spec.comp_indices)
     block = u[np.ix_(idx, idx)]
-    retained = float(np.sum(np.abs(block) ** 2) / spec.comp_dim)
+    with np.errstate(over="ignore"):
+        retained = float(np.sum(np.abs(block) ** 2) / spec.comp_dim)
     return block, _leakage_in_range(1.0 - retained, tol, "a unitary")
 
 

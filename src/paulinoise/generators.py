@@ -33,6 +33,18 @@ from .paulis import (
 DEFAULT_SIMPLEX_TOL = 1e-12
 
 
+def _check_simplex(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` unchanged if they are finite, nonnegative and sum to 1
+    within ``DEFAULT_SIMPLEX_TOL``: the one simplex rule, for Pauli-channel
+    probabilities and ensemble weights alike. ``what`` names the values."""
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        raise ValueError(f"{what} must be finite and nonnegative")
+    total = float(values.sum())
+    if abs(total - 1.0) > DEFAULT_SIMPLEX_TOL:
+        raise ValueError(f"{what} sum to {total!r}, not 1 within {DEFAULT_SIMPLEX_TOL:g}")
+    return values
+
+
 def z_rotation(epsilon: float) -> np.ndarray:
     """Coherent Z rotation ``exp(-1j * epsilon * Z) = diag(e^-ie, e^+ie)``."""
     if not np.isfinite(epsilon):
@@ -77,27 +89,18 @@ class EnsembleMember:
             raise ValueError(f"ensemble weight must be nonnegative, got {self.weight!r}")
 
 
-def pauli_channel(
-    probabilities: Mapping[str, float],
-    *,
-    simplex_tol: float = DEFAULT_SIMPLEX_TOL,
-) -> np.ndarray:
+def pauli_channel(probabilities: Mapping[str, float]) -> np.ndarray:
     """Superoperator ``sum_P e_P kron(P, P.conj())`` of a stochastic Pauli channel.
 
     All labels must share one qubit count, at most
     ``DEFAULT_SUPEROP_MAX_QUBITS`` so that the channel can be extracted again;
-    missing labels mean probability 0. The probabilities must be nonnegative
-    and sum to 1 within ``simplex_tol``.
+    missing labels mean probability 0. The probabilities must be finite,
+    nonnegative and sum to 1 within ``DEFAULT_SIMPLEX_TOL`` (1e-12).
     """
     mapping_qubits(probabilities, DEFAULT_SUPEROP_MAX_QUBITS, "probability")
-    values = np.array([float(v) for v in probabilities.values()])
-    if np.any(~np.isfinite(values)) or np.any(values < 0.0):
-        raise ValueError("probabilities must be finite and nonnegative")
-    total = float(values.sum())
-    if abs(total - 1.0) > simplex_tol:
-        raise ValueError(
-            f"probabilities sum to {total!r}, not 1 within {simplex_tol:g}"
-        )
+    values = _check_simplex(
+        np.array([float(v) for v in probabilities.values()]), "probabilities"
+    )
     return _lift_mixture(values, map(pauli_matrix, probabilities))
 
 
@@ -118,14 +121,13 @@ def _lift_mixture(weights: Iterable[float], ops: Iterable[np.ndarray]) -> np.nda
 def _ensemble_arrays(
     members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
     *,
-    simplex_tol: float = DEFAULT_SIMPLEX_TOL,
     tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights ``(K,)`` and unitaries ``(K, D, D)`` of a validated ensemble.
 
     The ensemble must be non-empty, its members must act on one space and be
     unitary within ``tol``, and its weights must sum to 1 within
-    ``simplex_tol``.
+    ``DEFAULT_SIMPLEX_TOL``.
     """
     members = list(members)
     if not members:
@@ -133,27 +135,26 @@ def _ensemble_arrays(
     dims = {m.unitary.shape[0] for m in members}
     if len(dims) != 1:
         raise DimensionError(f"ensemble members act on different dimensions: {sorted(dims)}")
-    total = float(sum(m.weight for m in members))
-    if abs(total - 1.0) > simplex_tol:
-        raise ValueError(f"ensemble weights sum to {total!r}, not 1 within {simplex_tol:g}")
+    weights = _check_simplex(
+        np.array([m.weight for m in members], dtype=float), "ensemble weights"
+    )
     unitaries = np.stack(
         [require_unitary(m.unitary, tol, name="ensemble member") for m in members]
     )
-    return np.array([m.weight for m in members], dtype=float), unitaries
+    return weights, unitaries
 
 
 def average_channel(
     members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
     *,
-    simplex_tol: float = DEFAULT_SIMPLEX_TOL,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Superoperator of a weighted mixture of unitaries.
 
-    Weights must be nonnegative and sum to 1 within ``simplex_tol``; all
-    members must act on the same space and be unitary within ``tol``. The
-    result is trace preserving by construction but is generally not a unitary
-    lift.
+    Weights must be nonnegative and sum to 1 within ``DEFAULT_SIMPLEX_TOL``
+    (1e-12); all members must act on the same space and be unitary within
+    ``tol``. The result is trace preserving by construction but is generally
+    not a unitary lift.
     """
-    weights, unitaries = _ensemble_arrays(members, simplex_tol=simplex_tol, tol=tol)
+    weights, unitaries = _ensemble_arrays(members, tol=tol)
     return _lift_mixture(weights, unitaries)

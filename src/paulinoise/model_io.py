@@ -64,12 +64,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, PhysicalityError
 from .extraction import ModelDiagnostics, PauliNoiseModel
 from .generators import EnsembleMember
 from .paulis import (
     DEFAULT_SUPEROP_MAX_QUBITS,
-    DEFAULT_TOL,
     MAX_MODEL_QUBITS,
     PAULI_ALPHABET,
     label_to_index,
@@ -219,8 +218,9 @@ def dump_json(
     written with the rows of ``blocks[i]``, a flat list that gives ``row``'s
     fields their values row after row. ``%r`` of a float is the text
     ``json`` writes for it, so the text is that of ``json.dumps`` with the
-    arrays in place. Callers check that block values are finite, as
-    ``allow_nan=False`` does for the rest of the document.
+    arrays in place. Block values must be finite, as ``allow_nan=False``
+    makes the rest of the document: matrix writers check theirs, and a
+    model's probabilities are finite by construction.
     """
     try:
         text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -555,13 +555,10 @@ def write_model(
     provenance: dict[str, Any] | None = None,
     strict: bool = True,
 ) -> str:
-    """Write a noise model document; returns the JSON text."""
+    """Write a noise model document; returns the JSON text. A model's
+    probabilities are finite by construction, so its entries need no check;
+    ``strict`` checks its budget with :meth:`PauliNoiseModel.validate`."""
     document, labels, probs = _model_document(model, floor, provenance, strict)
-    if not np.isfinite(probs).all():
-        # json.dumps raises, naming the document's first non-finite number.
-        return dump_json(
-            path, model_to_document(model, floor=floor, provenance=provenance, strict=strict)
-        )
     values: list[Any] = [None] * (2 * len(labels))
     values[0::2] = labels
     values[1::2] = probs.tolist()
@@ -572,8 +569,10 @@ def write_model(
 def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     """Read a noise model document, re-validating all invariants.
 
-    ``strict`` additionally enforces that kept probabilities, truncated
-    weight, and leakage close the budget to 1 within ``DEFAULT_TOL``.
+    ``strict`` additionally checks the model read with
+    :meth:`PauliNoiseModel.validate`, the budget rule of the strict writer:
+    kept probabilities, truncated weight and leakage must sum to 1 within
+    ``DEFAULT_TOL``. A violation raises ``ModelFormatError`` naming the file.
     """
     doc, _ = _load_document(path, (KIND_MODEL,))
     n = _int_field(doc.get("n"), "n", path, 1, MAX_MODEL_QUBITS)
@@ -620,13 +619,6 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
 
     identity_prob = _optional_float("identity_prob")
     _require(identity_prob is not None, path, "'diagnostics.identity_prob' is required")
-    if strict:
-        budget = sum(by_index.values()) + truncated + leakage
-        _require(
-            abs(budget - 1.0) <= DEFAULT_TOL,
-            path,
-            f"probabilities, truncated weight, and leakage sum to {budget!r}, not 1",
-        )
     diagnostics = ModelDiagnostics(
         identity_prob=identity_prob,
         coherent_residual_sq=_optional_float("coherent_residual_sq"),
@@ -634,13 +626,19 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     )
     probs = np.zeros(4**n)
     probs[list(by_index)] = list(by_index.values())
-    return PauliNoiseModel(
+    model = PauliNoiseModel(
         n=n,
         probs=probs,
         leakage_weight=leakage,
         truncated_weight=truncated,
         diagnostics=diagnostics,
     )
+    if strict:
+        try:
+            model.validate()
+        except PhysicalityError as exc:
+            raise _fail(path, str(exc)) from exc
+    return model
 
 
 def _target_table(first: int, count: int) -> list[str]:

@@ -21,7 +21,7 @@ def random_mixture(n: int, seed: int, members: int = 3) -> np.ndarray:
         EnsembleMember(float(w), random_unitary(n, int(rng.integers(1, 2**31))))
         for w in weights
     ]
-    return average_channel(ensemble, simplex_tol=1e-9)
+    return average_channel(ensemble)
 
 
 def record_criterion(config, line: str) -> None:

@@ -213,9 +213,7 @@ def test_criterion_5_minimality_oracle(request):
             # The quadratic form must agree with the entrywise metric.
             labels = pauli_basis(n)
             for idx in rng.integers(0, samples, size=3):
-                candidate = pauli_channel(
-                    dict(zip(labels, points[idx])), simplex_tol=1e-9
-                )
+                candidate = pauli_channel(dict(zip(labels, points[idx])))
                 direct = channel_distance(s, candidate)
                 worst_cross = max(worst_cross, abs(direct - values[idx]))
 
@@ -275,10 +273,7 @@ def test_criterion_7_decomposition_identity(request):
             s = random_mixture(n, 9000 + 100 * n + seed)
             w = coefficient_matrix(s)
             model = nearest_pauli_channel(w)
-            lhs = (
-                channel_distance(s, pauli_channel(model.probabilities, simplex_tol=1e-9))
-                ** 2
-            )
+            lhs = channel_distance(s, pauli_channel(model.probabilities)) ** 2
             rhs = coherent_residual(w) + float(
                 np.sum(np.abs(np.diagonal(w) - model.as_array()) ** 2)
             )

@@ -644,3 +644,32 @@ def test_clamp_band_follows_tol(tmp_path, capsys):
     assert run_cli(argv + ["--tol", "1e-6"]) == 0
     assert read_model(model_path).probability("I") == 1.0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, kind, matrix",
+    [
+        (["extract", "--unitary"], KIND_OPERATOR, np.array([[1e150, 1e150], [0.0, 1.0]])),
+        (["extract-channel", "--channel"], KIND_SUPEROPERATOR, 1e200 * np.eye(4)),
+    ],
+    ids=["unitary", "channel"],
+)
+def test_overflowing_weights_exit_2_and_write_nothing(tmp_path, capsys, argv, kind, matrix):
+    # Every squared weight overflows. No numpy warning may escape (the suite
+    # turns warnings into errors), and the error must not blame an output.
+    source = tmp_path / "in.json"
+    write_matrix_file(source, matrix, kind)
+    outputs = [tmp_path / name for name in ("m.json", "m.stim", "w.json")]
+    code = run_cli(
+        argv
+        + [str(source), "--allow-nonphysical", "-o", str(outputs[0])]
+        + ["--stim", str(outputs[1]), "--full-coeffs", str(outputs[2])]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the input's Pauli weights are not finite: they overflow double "
+        "precision, or the input holds a non-finite number\n"
+    )
+    assert not any(path.exists() for path in outputs)

@@ -23,8 +23,15 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    # The subprocess does not inherit the suite's warning filter, so it gets
+    # its own: a warning fails the demo, and nothing else may reach stderr.
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip()

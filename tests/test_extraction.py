@@ -321,7 +321,7 @@ def test_distance_decomposition_identity():
         s = random_mixture(n, 400 + 7 * trial)
         w = coefficient_matrix(s)
         model = nearest_pauli_channel(w)
-        target = pauli_channel(model.probabilities, simplex_tol=1e-9)
+        target = pauli_channel(model.probabilities)
         lhs = channel_distance(s, target) ** 2
         rhs = coherent_residual(w) + float(
             np.sum(np.abs(np.diagonal(w) - model.as_array()) ** 2)
@@ -335,12 +335,12 @@ def test_distance_decomposition_identity():
 def test_model_point_beats_simplex_samples():
     s = random_mixture(1, 55)
     model = nearest_pauli_channel(coefficient_matrix(s))
-    base = channel_distance(s, pauli_channel(model.probabilities, simplex_tol=1e-9))
+    base = channel_distance(s, pauli_channel(model.probabilities))
     rng = np.random.default_rng(99)
     labels = pauli_basis(1)
     for _ in range(200):
         candidate = dict(zip(labels, rng.dirichlet(np.ones(4))))
-        alt = channel_distance(s, pauli_channel(candidate, simplex_tol=1e-9))
+        alt = channel_distance(s, pauli_channel(candidate))
         assert alt >= base - 1e-12
 
 
@@ -479,3 +479,19 @@ def test_extract_from_channel_rejects_non_hermiticity_preserving():
     lopsided[0, 1] = 0.01
     with pytest.raises(PhysicalityError):
         extract_from_channel(lopsided)
+
+
+def test_routes_refuse_non_finite_weights_even_when_nonphysical():
+    # An all-NaN model would export an empty stim chain, which says "no error".
+    u = np.eye(2, dtype=complex)
+    u[0, 0] = np.nan
+    s = np.kron(u, u.conj())
+    spec = LeakageSpec(3, (0, 1))
+    with pytest.raises(ValueError, match="Pauli weights are not finite"):
+        extract_from_unitary(u, allow_nonphysical=True)
+    with pytest.raises(ValueError, match="Pauli weights are not finite"):
+        extract_from_channel(s, allow_nonphysical=True)
+    with pytest.raises(ValueError, match="Pauli weights are not finite"):
+        extract_from_unitary(np.full((3, 3), np.nan), leakage=spec, allow_nonphysical=True)
+    with pytest.raises(ValueError, match="Pauli weights are not finite"):
+        extract_from_unitary(1e200 * np.eye(3), leakage=spec, allow_nonphysical=True)

@@ -106,7 +106,10 @@ def test_pauli_channel_validation():
         pauli_channel({"I": 1.1, "Z": -0.1})
     with pytest.raises(ValueError):
         pauli_channel({"I": 0.5, "Q": 0.5})
-    pauli_channel({"I": 0.5, "Z": 0.4}, simplex_tol=0.2)
+    # One simplex rule, 1e-12, with no keyword to widen it.
+    pauli_channel({"I": 0.5, "Z": 0.5 + 5e-13})
+    with pytest.raises(ValueError, match="not 1 within 1e-12"):
+        pauli_channel({"I": 0.5, "Z": 0.5 + 5e-12})
 
 
 def test_pauli_channel_round_trips_through_extraction():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import paulinoise
@@ -22,6 +22,7 @@ from paulinoise import (
     ModelDiagnostics,
     ModelFormatError,
     PauliNoiseModel,
+    PhysicalityError,
     coefficient_matrix,
     chain_to_probabilities,
     export_stim_chain,
@@ -765,8 +766,12 @@ def test_model_text_is_that_of_json_dumps(probs, floor, provenance):
 
 def test_writers_refuse_non_finite_values(tmp_path):
     path = tmp_path / "out.json"
+    # A model's probabilities are finite by construction; its diagnostics
+    # are the model document's only numbers that can be non-finite.
     model = PauliNoiseModel(
-        n=1, probs=np.array([0.5, np.inf, 0.0, 0.0]), diagnostics=ModelDiagnostics(0.5)
+        n=1,
+        probs=np.array([0.5, 0.5, 0.0, 0.0]),
+        diagnostics=ModelDiagnostics(0.5, coherent_residual_sq=np.inf),
     )
     with pytest.raises(
         ModelFormatError,
@@ -781,6 +786,69 @@ def test_writers_refuse_non_finite_values(tmp_path):
     with pytest.raises(ModelFormatError, match="matrix contains non-finite entries"):
         write_ensemble_file(path, members)
     assert not path.exists()
+
+
+def test_strict_writer_refuses_a_negative_truncated_weight(tmp_path):
+    # The budget closes, but the reader refuses a negative truncated weight,
+    # so the strict writer must not write one.
+    model = PauliNoiseModel(
+        n=1,
+        probs=np.array([0.6, 0.5, 0.0, 0.0]),
+        truncated_weight=-0.1,
+        diagnostics=ModelDiagnostics(0.6),
+    )
+    path = tmp_path / "model.json"
+    with pytest.raises(PhysicalityError, match=r"truncated weight -0\.1 is outside \[0, 1\]"):
+        write_model(path, model)
+    assert not path.exists()
+    write_model(path, model, strict=False)
+    with pytest.raises(ModelFormatError, match="'truncated_weight' must be a nonnegative"):
+        read_model(path)
+
+
+@settings(max_examples=200, deadline=None)
+# Budgets on the edge of the band, where rounding decides: the file lists the
+# first's entries in another order than the model, and the writer moves the
+# second's 1e-13, below the floor, into the truncated weight.
+@example([0.0] * 12 + [1e-13, 1e-13, 1e-9], 0.0, 0.0, 1e-9, 0.0)
+@example([0.0] * 10 + [1e-9, 1e-9, 0.0, 1e-13, 0.013003490165869828], 0.0, 0.0, 1e-9, 1e-12)
+@given(
+    rest=st.lists(
+        st.one_of(st.sampled_from([0.0, 1e-13, 5e-12, 1e-10, 1e-9]), st.floats(0.0, 0.05)),
+        min_size=15,
+        max_size=15,
+    ),
+    leakage=st.one_of(st.sampled_from([0.0, 1e-10]), st.floats(0.0, 0.1)),
+    truncated=st.sampled_from([0.0, 5e-10]),
+    excess=st.floats(-2e-9, 2e-9),
+    # Floors that drop entries into the written truncated weight.
+    floor=st.sampled_from([0.0, 1e-12, 1e-11, 1e-9, 0.01]),
+)
+def test_strict_writer_and_strict_reader_share_one_budget(
+    tmp_path_factory, rest, leakage, truncated, excess, floor
+):
+    identity = 1.0 + excess - leakage - truncated - sum(rest)
+    assume(identity >= 0.0)
+    model = PauliNoiseModel(
+        n=2,
+        probs=np.array([identity] + rest),
+        leakage_weight=leakage,
+        truncated_weight=truncated,
+        diagnostics=ModelDiagnostics(identity_prob=identity),
+    )
+    path = tmp_path_factory.getbasetemp() / "budget.json"
+    write_model(path, model, floor=floor, strict=False)
+    try:
+        write_model(None, model, floor=floor, strict=True)
+        written = True
+    except PhysicalityError:
+        written = False
+    try:
+        read_model(path, strict=True)
+        read = True
+    except ModelFormatError:
+        read = False
+    assert written == read
 
 
 # ---------------------------------------------------------------------------

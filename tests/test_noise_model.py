@@ -5,6 +5,7 @@ oracle."""
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import numpy as np
@@ -240,3 +241,23 @@ def test_label_mapping_checks_the_model_qubit_cap():
     with pytest.raises(SizeLimitError):
         nearest_pauli_channel({"I" * 13: 1.0})
     assert nearest_pauli_channel({"Z" * 7: 1.0}).probability("Z" * 7) == 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["probs", "leakage_weight", "truncated_weight"])
+def test_model_numbers_are_finite_by_construction(field, value):
+    kwargs = {"probs": np.array([0.5, 0.25, 0.25, 0.0])}
+    if field == "probs":
+        kwargs["probs"][2] = value
+        name = "probability for 'Y'"
+    else:
+        kwargs[field] = value
+        name = field
+    with pytest.raises(ValueError, match=re.escape(f"{name} is {float(value)!r}")):
+        PauliNoiseModel(n=1, **kwargs)
+
+
+def test_model_names_its_first_non_finite_number():
+    # Built, this model would export as CORRELATED_ERROR(1.0) X0.
+    with pytest.raises(ValueError, match="probability for 'X' is inf"):
+        PauliNoiseModel(n=1, probs=[0.5, np.inf, np.nan, 0.0], leakage_weight=np.nan)

@@ -44,9 +44,6 @@ def test_no_public_callable_takes_an_old_tolerance_or_cap_keyword():
             continue
         for param in params.values():
             assert param.name not in ("allow_nonunitary", "max_qubits"), (name, param.name)
-            assert not param.name.endswith("_tol") or param.name == "simplex_tol", (
-                name,
-                param.name,
-            )
+            assert not param.name.endswith("_tol"), (name, param.name)
             if param.name == "tol":
                 assert param.default == DEFAULT_TOL, name
