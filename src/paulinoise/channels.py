@@ -90,7 +90,9 @@ def lift_unitary(
     check_levels(u.shape[0], MAX_MODEL_QUBITS // 2)
     if not allow_nonphysical:
         require_unitary(u, tol, name="lift_unitary input")
-    return np.kron(u, u.conj())
+    # Entries beyond double precision become inf or NaN, which callers refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.kron(u, u.conj())
 
 
 def channel_from_oracle(oracle: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
@@ -162,7 +164,8 @@ def channel_distance(a: np.ndarray, b: np.ndarray) -> float:
     ``sqrt(Tr[(a - b)^dag (a - b)] / D^2)``; zero iff the matrices are equal,
     symmetric, and obeys the triangle inequality. In the Pauli-pair basis the
     square equals the sum of squared-magnitude coefficient differences over
-    all ordered pairs ``(P, Q)``.
+    all ordered pairs ``(P, Q)``. A distance that is not finite raises
+    ``ValueError``.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -171,8 +174,14 @@ def channel_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise DimensionError(
             f"cannot compare superoperators of shapes {a.shape} and {b.shape}"
         )
-    diff = a - b
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2) / a.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sqrt(np.sum(np.abs(a - b) ** 2) / a.shape[0]))
+    if not math.isfinite(value):
+        raise ValueError(
+            "channel distance is not finite: the squared differences overflow "
+            "double precision, or an input holds a non-finite number"
+        )
+    return value
 
 
 def trace_preservation_defect(s: np.ndarray) -> float:

@@ -123,9 +123,10 @@ class PauliNoiseModel:
     dropped below its floor (0 for a model that was never written). For
     physical inputs the three sum to 1, which :meth:`validate` checks.
 
-    Every probability and both weights are finite by construction: a
-    ``ValueError`` naming the first non-finite number refuses the model, so
-    no writer, reader or export ever meets NaN or inf.
+    Construction holds each number to its range, the one rule for every
+    caller and reader: probabilities and leakage in ``[0, 1]``, the truncated
+    weight finite and ``>= 0`` (the budget bounds it). A ``ValueError``
+    naming the first offender refuses any other model.
     """
 
     n: int
@@ -144,15 +145,17 @@ class PauliNoiseModel:
                 f"a {self.n}-qubit model needs {4**self.n} probabilities in a "
                 f"vector, got shape {probs.shape}"
             )
-        # The first non-finite probability, if any, is named first.
-        index = int(np.argmin(np.isfinite(probs)))
-        for name, value in (
-            (f"probability for {index_to_label(index, self.n)!r}", probs[index]),
-            ("leakage_weight", self.leakage_weight),
-            ("truncated_weight", self.truncated_weight),
+        # The first probability outside [0, 1], NaN included, is named first.
+        index = int(np.argmin((probs >= 0.0) & (probs <= 1.0)))
+        unit = (1.0, "outside [0, 1]")
+        for name, value, (high, rule) in (
+            (f"probability for {index_to_label(index, self.n)!r}", probs[index], unit),
+            ("leakage_weight", self.leakage_weight, unit),
+            ("truncated_weight", self.truncated_weight,
+             (np.finfo(float).max, "not a finite number >= 0")),
         ):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} is {float(value)!r}, not a finite number")
+            if not 0.0 <= value <= high:
+                raise ValueError(f"{name} is {float(value)!r}, {rule}")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -188,21 +191,9 @@ class PauliNoiseModel:
 
     def validate(self, tol: float = DEFAULT_TOL) -> "PauliNoiseModel":
         """Check the probability budget, the one rule of the strict writer and
-        the strict reader: every probability and both weights in ``[0, 1]``,
-        summing to 1 within ``tol``. Raises on violation, returns self."""
-        outside = ~((self.probs >= 0.0) & (self.probs <= 1.0))
-        if outside.any():
-            index = int(np.argmax(outside))
-            raise PhysicalityError(
-                f"probability for {index_to_label(index, self.n)!r} is "
-                f"{float(self.probs[index])!r}, outside [0, 1]"
-            )
-        for name, weight in (
-            ("leakage weight", self.leakage_weight),
-            ("truncated weight", self.truncated_weight),
-        ):
-            if not 0.0 <= weight <= 1.0:
-                raise PhysicalityError(f"{name} {weight!r} is outside [0, 1]")
+        the strict reader: probabilities, truncated weight and leakage sum to
+        1 within ``tol``. Each number's range is held by construction.
+        Raises :class:`PhysicalityError` on violation, returns self."""
         total = self.total_weight()
         if abs(total - 1.0) > tol:
             raise PhysicalityError(

@@ -36,8 +36,11 @@ noise model document::
 Model entries are sorted by descending probability (ties by label index) and
 entries below the writer's probability floor are dropped, with the dropped
 mass recorded in ``truncated_weight`` so the budget still closes. Every
-document written by this module re-validates on read, and a read model keeps
-its ``truncated_weight``, so writing it again gives the same text.
+document written by this module reads back in the writer's mode, and a read
+model keeps its ``truncated_weight``, so writing it again gives the same text.
+Readers only decode the structure and finite JSON numbers: the type a number
+is read into (:class:`PauliNoiseModel`, :class:`EnsembleMember`) judges its
+range, and a refusal is re-raised as ``ModelFormatError`` naming the file.
 
 Every reader decodes and converts its document with the cyclic garbage
 collector paused. An n = 4 superoperator file decodes into 65 536 small
@@ -269,18 +272,11 @@ def _int_field(
     return value
 
 
-def _number_field(
-    value: Any, name: str, path: str | Path | None, high: float = math.inf
-) -> float:
+def _number_field(value: Any, name: str, path: str | Path | None) -> float:
     """``value`` of the field ``name`` as a float if it is a finite JSON
-    number in ``[0, high]``."""
+    number; its range is for the type it is read into to judge."""
     number = _finite_number(value)
-    bound = "a nonnegative number" if high == math.inf else f"a number in [0, {high:g}]"
-    _require(
-        number is not None and 0.0 <= number <= high,
-        path,
-        f"{name!r} must be {bound}, got {value!r}",
-    )
+    _require(number is not None, path, f"{name!r} must be a finite number, got {value!r}")
     return number
 
 
@@ -462,7 +458,8 @@ def write_ensemble_file(
 
 @_collector_paused
 def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
-    """Read a weighted unitary ensemble document."""
+    """Read a weighted unitary ensemble document; :class:`EnsembleMember`
+    judges each weight's range."""
     doc, _ = _load_document(path, (KIND_ENSEMBLE,))
     dim = _int_field(doc.get("dim"), "dim", path, 2)
     raw_members = doc.get("members")
@@ -476,7 +473,10 @@ def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
         _require(isinstance(raw, dict), path, f"'members[{i}]' must be an object")
         weight = _number_field(raw.get("weight"), f"members[{i}].weight", path)
         matrix = _pairs_to_matrix(raw.get("data"), dim, path, "dim")
-        members.append(EnsembleMember(weight=weight, unitary=matrix))
+        try:
+            members.append(EnsembleMember(weight=weight, unitary=matrix))
+        except ValueError as exc:
+            raise _fail(path, f"'members[{i}]': {exc}") from exc
     return members
 
 
@@ -556,7 +556,7 @@ def write_model(
     strict: bool = True,
 ) -> str:
     """Write a noise model document; returns the JSON text. A model's
-    probabilities are finite by construction, so its entries need no check;
+    numbers are in range by construction, so its entries need no check;
     ``strict`` checks its budget with :meth:`PauliNoiseModel.validate`."""
     document, labels, probs = _model_document(model, floor, provenance, strict)
     values: list[Any] = [None] * (2 * len(labels))
@@ -567,12 +567,13 @@ def write_model(
 
 @_collector_paused
 def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
-    """Read a noise model document, re-validating all invariants.
+    """Read a noise model document that :func:`write_model` wrote in the
+    same mode.
 
-    ``strict`` additionally checks the model read with
-    :meth:`PauliNoiseModel.validate`, the budget rule of the strict writer:
-    kept probabilities, truncated weight and leakage must sum to 1 within
-    ``DEFAULT_TOL``. A violation raises ``ModelFormatError`` naming the file.
+    :class:`PauliNoiseModel` judges the ranges of the numbers read, and
+    ``strict`` additionally checks the model with
+    :meth:`PauliNoiseModel.validate`, the budget rule of the strict writer.
+    Either refusal raises ``ModelFormatError`` naming the file.
     """
     doc, _ = _load_document(path, (KIND_MODEL,))
     n = _int_field(doc.get("n"), "n", path, 1, MAX_MODEL_QUBITS)
@@ -597,47 +598,33 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
             path,
             f"'entries[{i}].label' {label!r} appears more than once",
         )
-        by_index[index] = _number_field(
-            raw.get("probability"), f"entries[{i}].probability", path, 1.0
-        )
-    leakage = _number_field(doc.get("leakage_weight", 0.0), "leakage_weight", path, 1.0)
+        by_index[index] = _number_field(raw.get("probability"), f"entries[{i}].probability", path)
+    leakage = _number_field(doc.get("leakage_weight", 0.0), "leakage_weight", path)
     truncated = _number_field(doc.get("truncated_weight", 0.0), "truncated_weight", path)
     diag_raw = doc.get("diagnostics")
     _require(isinstance(diag_raw, dict), path, "'diagnostics' must be an object")
 
     def _optional_float(key: str) -> float | None:
         value = diag_raw.get(key)
-        if value is None:
-            return None
-        number = _finite_number(value)
-        _require(
-            number is not None,
-            path,
-            f"'diagnostics.{key}' must be a finite number or null, got {value!r}",
-        )
-        return number
+        return None if value is None else _number_field(value, f"diagnostics.{key}", path)
 
-    identity_prob = _optional_float("identity_prob")
-    _require(identity_prob is not None, path, "'diagnostics.identity_prob' is required")
     diagnostics = ModelDiagnostics(
-        identity_prob=identity_prob,
+        identity_prob=_number_field(
+            diag_raw.get("identity_prob"), "diagnostics.identity_prob", path
+        ),
         coherent_residual_sq=_optional_float("coherent_residual_sq"),
         distance_to_source=_optional_float("distance_to_source"),
     )
     probs = np.zeros(4**n)
     probs[list(by_index)] = list(by_index.values())
-    model = PauliNoiseModel(
-        n=n,
-        probs=probs,
-        leakage_weight=leakage,
-        truncated_weight=truncated,
-        diagnostics=diagnostics,
-    )
-    if strict:
-        try:
+    try:
+        model = PauliNoiseModel(
+            n, probs, leakage_weight=leakage, truncated_weight=truncated, diagnostics=diagnostics
+        )
+        if strict:
             model.validate()
-        except PhysicalityError as exc:
-            raise _fail(path, str(exc)) from exc
+    except (ValueError, PhysicalityError) as exc:
+        raise _fail(path, str(exc)) from exc
     return model
 
 

@@ -265,10 +265,12 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray, norm_dim: int | None = None) -
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Largest entrywise deviation of ``u^dag u`` from the identity."""
+    """Largest entrywise deviation of ``u^dag u`` from the identity; inf or
+    NaN, without a warning, when ``u^dag u`` overflows."""
     u = square_matrix(u, "matrix")
-    gram = u.conj().T @ u
-    return float(np.max(np.abs(gram - np.eye(u.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = u.conj().T @ u
+        return float(np.max(np.abs(gram - np.eye(u.shape[0]))))
 
 
 def require_unitary(

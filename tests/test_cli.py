@@ -673,3 +673,60 @@ def test_overflowing_weights_exit_2_and_write_nothing(tmp_path, capsys, argv, ki
         "precision, or the input holds a non-finite number\n"
     )
     assert not any(path.exists() for path in outputs)
+
+
+def test_model_written_with_a_high_floor_reads_back(tmp_path, capsys):
+    # A floor above every probability drops all of them into the truncated
+    # weight; rounding puts that sum just over 1 for this seed.
+    u = tmp_path / "u.json"
+    model_path = tmp_path / "m.json"
+    assert run_cli(["gen", "random-unitary", "--n", "2", "--seed", "2", "-o", str(u)]) == 0
+    argv = ["extract", "--unitary", str(u), "--floor", "2", "-o", str(model_path)]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert json.loads(model_path.read_text())["truncated_weight"] > 1.0
+    model = read_model(model_path)
+    assert model.truncated_weight > 1.0 and not model.probabilities
+
+
+#: Message of a channel distance that overflows double precision.
+_DISTANCE_OVERFLOW = (
+    "error: channel distance is not finite: the squared differences overflow "
+    "double precision, or an input holds a non-finite number\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["extract", "--unitary", "{big}"], 3,
+         "error: implementation is not unitary within tolerance 1e-09 (defect inf)\n"),
+        (["extract", "--unitary", "{eye}", "--target", "{big}"], 3,
+         "error: target is not unitary within tolerance 1e-09 (defect inf)\n"),
+        (["avg-extract", "--weights", "{ensemble}"], 3,
+         "error: ensemble member is not unitary within tolerance 1e-09 (defect inf)\n"),
+        (["distance", "{big_channel}", "{eye_channel}"], 2, _DISTANCE_OVERFLOW),
+        (["distance", "{big}", "{eye}", "--allow-nonphysical"], 2, _DISTANCE_OVERFLOW),
+    ],
+    ids=["unitary", "target", "ensemble", "distance-channels", "distance-operators-nonphysical"],
+)
+def test_overflowing_inputs_warn_nothing_and_write_nothing(tmp_path, capsys, argv, code, err):
+    # The suite turns warnings into errors, so any numpy overflow warning on
+    # the way fails the test; the error must name the input, not the output.
+    files = {
+        "big": (np.diag([1e200, 1.0]), KIND_OPERATOR),
+        "eye": (np.eye(2), KIND_OPERATOR),
+        "big_channel": (1e200 * np.eye(4), KIND_SUPEROPERATOR),
+        "eye_channel": (np.eye(4), KIND_SUPEROPERATOR),
+    }
+    paths = {}
+    for name, (matrix, kind) in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        write_matrix_file(paths[name], matrix, kind)
+    paths["ensemble"] = tmp_path / "ensemble.json"
+    write_ensemble_file(paths["ensemble"], [EnsembleMember(1.0, files["big"][0])])
+    output = tmp_path / "out.json"
+    assert run_cli([arg.format(**paths) for arg in argv] + ["-o", str(output)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+    assert not output.exists()

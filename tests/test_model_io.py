@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -257,8 +258,12 @@ def test_read_model_rejects_out_of_range_probability(tmp_path):
     def mutate(doc):
         doc["entries"][0]["probability"] = 1.5
 
-    with pytest.raises(ModelFormatError):
-        read_model(_write_mutated_model(tmp_path, mutate))
+    path = _write_mutated_model(tmp_path, mutate)
+    # The model judges the range, whatever the mode, and names the label.
+    message = f"^{re.escape(str(path))}: probability for 'I' is 1\\.5, outside \\[0, 1\\]$"
+    for strict in (True, False):
+        with pytest.raises(ModelFormatError, match=message):
+            read_model(path, strict=strict)
 
 
 def test_read_model_rejects_wrong_label_length(tmp_path):
@@ -325,7 +330,10 @@ def test_ensemble_read_rejects_negative_weight(tmp_path):
     doc = json.loads(path.read_text())
     doc["members"][0]["weight"] = -0.5
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(
+        ModelFormatError,
+        match=f"^{re.escape(str(path))}: 'members\\[0\\]': ensemble weight must be nonnegative",
+    ):
         read_ensemble_file(path)
 
 
@@ -788,22 +796,16 @@ def test_writers_refuse_non_finite_values(tmp_path):
     assert not path.exists()
 
 
-def test_strict_writer_refuses_a_negative_truncated_weight(tmp_path):
-    # The budget closes, but the reader refuses a negative truncated weight,
-    # so the strict writer must not write one.
-    model = PauliNoiseModel(
-        n=1,
-        probs=np.array([0.6, 0.5, 0.0, 0.0]),
-        truncated_weight=-0.1,
-        diagnostics=ModelDiagnostics(0.6),
-    )
-    path = tmp_path / "model.json"
-    with pytest.raises(PhysicalityError, match=r"truncated weight -0\.1 is outside \[0, 1\]"):
-        write_model(path, model)
-    assert not path.exists()
-    write_model(path, model, strict=False)
-    with pytest.raises(ModelFormatError, match="'truncated_weight' must be a nonnegative"):
-        read_model(path)
+def test_construction_refuses_a_negative_truncated_weight():
+    # The budget closes, but a negative truncated weight is no mass that a
+    # writer dropped, so no such model is built, for any writer to write.
+    with pytest.raises(ValueError, match=r"truncated_weight is -0\.1, not a finite number >= 0"):
+        PauliNoiseModel(
+            n=1,
+            probs=np.array([0.6, 0.5, 0.0, 0.0]),
+            truncated_weight=-0.1,
+            diagnostics=ModelDiagnostics(0.6),
+        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -849,6 +851,57 @@ def test_strict_writer_and_strict_reader_share_one_budget(
     except ModelFormatError:
         read = False
     assert written == read
+
+
+def _in_budget(probs, leakage, truncated):
+    """``probs`` scaled so that they, ``leakage`` and ``truncated`` sum to 1,
+    or ``None`` when the two weights alone exceed 1 or every entry is 0."""
+    room = 1.0 - leakage - truncated
+    total = math.fsum(probs)
+    if room < 0.0 or total == 0.0:
+        return None
+    return [min(p * room / total, 1.0) for p in probs]
+
+
+@settings(max_examples=150, deadline=None)
+# Both entries fall below the floor, and the dropped mass, 1 + 5e-10, is
+# written as the truncated weight: over 1, yet within the budget's band.
+@example(probs=[0.5, 0.5 + 5e-10, 0.0, 0.0], leakage=0.0, truncated=0.0, floor=0.6)
+@given(
+    probs=st.sampled_from([4, 16]).flatmap(
+        lambda size: st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-13, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            min_size=size,
+            max_size=size,
+        )
+    ),
+    leakage=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    truncated=st.sampled_from([0.0, 5e-10, 0.1]),
+    floor=st.sampled_from([0.0, 1e-12, 0.01, 0.6, 2.0]),
+)
+def test_every_written_model_reads_back_in_its_mode(
+    tmp_path_factory, probs, leakage, truncated, floor
+):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    n = 1 if len(probs) == 4 else 2
+    for values in (probs, _in_budget(probs, leakage, truncated)):
+        if values is None:
+            continue
+        model = PauliNoiseModel(
+            n=n,
+            probs=np.array(values),
+            leakage_weight=leakage,
+            truncated_weight=truncated,
+            diagnostics=ModelDiagnostics(identity_prob=values[0]),
+        )
+        for strict in (False, True):
+            try:
+                text = write_model(path, model, floor=floor, strict=strict)
+            except PhysicalityError:
+                assert strict
+                continue
+            loaded = read_model(path, strict=strict)
+            assert write_model(None, loaded, floor=floor, strict=strict) == text
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from paulinoise import (
     ModelDiagnostics,
     ModelFormatError,
     PauliNoiseModel,
+    PhysicalityError,
     SizeLimitError,
     export_stim_chain,
     extract_from_unitary,
@@ -261,3 +262,28 @@ def test_model_names_its_first_non_finite_number():
     # Built, this model would export as CORRELATED_ERROR(1.0) X0.
     with pytest.raises(ValueError, match="probability for 'X' is inf"):
         PauliNoiseModel(n=1, probs=[0.5, np.inf, np.nan, 0.0], leakage_weight=np.nan)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"probs": [0.5, np.nan, 0.5, 0.0]}, "probability for 'X' is nan, outside [0, 1]"),
+        ({"probs": [1.0, 0.0, -1e-17, 0.0]}, "probability for 'Y' is -1e-17, outside [0, 1]"),
+        ({"probs": [0.0, 0.0, 0.0, 1.5]}, "probability for 'Z' is 1.5, outside [0, 1]"),
+        ({"probs": [0.5, 0.5, 0.0, 0.0], "leakage_weight": 1.5},
+         "leakage_weight is 1.5, outside [0, 1]"),
+    ],
+    ids=["nan", "below-0", "above-1", "leakage-above-1"],
+)
+def test_model_numbers_are_in_range_by_construction(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PauliNoiseModel(n=1, **kwargs)
+
+
+def test_truncated_weight_has_no_upper_bound_of_its_own():
+    # Entries a floor dropped can sum past 1 by rounding; the budget, not the
+    # construction rule, bounds the truncated weight.
+    model = PauliNoiseModel(n=1, probs=[0.0, 0.0, 0.0, 0.0], truncated_weight=1.0 + 2e-16)
+    assert model.validate() is model
+    with pytest.raises(PhysicalityError, match=r"sum to 3\.0, not 1"):
+        PauliNoiseModel(n=1, probs=[0.0, 0.0, 0.0, 0.0], truncated_weight=3.0).validate()
