@@ -13,14 +13,9 @@ __version__ = "0.1.0"
 
 from .channels import (
     channel_distance,
-    channel_from_oracle,
-    compose,
-    devectorize,
-    entanglement_fidelity,
     hermiticity_defect,
     lift_unitary,
     trace_preservation_defect,
-    vectorize,
 )
 from .errors import (
     DimensionError,
@@ -35,7 +30,6 @@ from .extraction import (
     ModelDiagnostics,
     PauliNoiseModel,
     coefficient_matrix,
-    coherent_residual,
     error_channel,
     error_unitary,
     extract_from_channel,
@@ -68,7 +62,6 @@ from .model_io import (
     write_model,
 )
 from .paulis import (
-    frobenius_inner,
     index_to_label,
     label_to_index,
     pauli_basis,
@@ -95,19 +88,13 @@ __all__ = [
     "average_channel",
     "chain_to_probabilities",
     "channel_distance",
-    "channel_from_oracle",
     "coefficient_matrix",
-    "coherent_residual",
-    "compose",
-    "devectorize",
-    "entanglement_fidelity",
     "error_channel",
     "error_unitary",
     "export_stim_chain",
     "extract_from_channel",
     "extract_from_ensemble",
     "extract_from_unitary",
-    "frobenius_inner",
     "hermiticity_defect",
     "index_to_label",
     "label_to_index",
@@ -130,7 +117,6 @@ __all__ = [
     "trace_preservation_defect",
     "unitarity_defect",
     "validate_label",
-    "vectorize",
     "write_coefficient_file",
     "write_ensemble_file",
     "write_matrix_file",

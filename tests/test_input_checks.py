@@ -12,19 +12,16 @@ from paulinoise import (
     EnsembleMember,
     PhysicalityError,
     average_channel,
-    coherent_residual,
     error_unitary,
     extract_from_channel,
     extract_from_ensemble,
     extract_from_unitary,
-    frobenius_inner,
     lift_unitary,
     nearest_pauli_channel,
     pauli_channel,
     pauli_coefficients,
     pauli_matrix,
     unitarity_defect,
-    vectorize,
     z_rotation,
 )
 from paulinoise.channels import _square_side, superoperator_dims
@@ -32,17 +29,14 @@ from paulinoise.channels import _square_side, superoperator_dims
 NOT_SQUARE = np.zeros((2, 3))
 
 SQUARE_CHECKED = {
-    "vectorize": vectorize,
     "lift_unitary": lift_unitary,
     "superoperator_dims": superoperator_dims,
     "error_unitary": lambda m: error_unitary(m, np.eye(2)),
     "pauli_coefficients": pauli_coefficients,
-    "coherent_residual": coherent_residual,
     "nearest_pauli_channel": nearest_pauli_channel,
     "extract_from_unitary": extract_from_unitary,
     "EnsembleMember": lambda m: EnsembleMember(1.0, m),
     "unitarity_defect": unitarity_defect,
-    "frobenius_inner": lambda m: frobenius_inner(m, m),
 }
 
 

@@ -48,7 +48,6 @@ from paulinoise.model_io import (
     KIND_ENSEMBLE,
     KIND_OPERATOR,
     KIND_SUPEROPERATOR,
-    model_to_document,
 )
 from paulinoise.paulis import MAX_MODEL_QUBITS
 
@@ -213,18 +212,18 @@ def test_model_writes_are_byte_deterministic(tmp_path):
 def test_model_floor_drops_and_accounts_weight():
     tiny = 1e-13
     model = nearest_pauli_channel(np.array([0.6, 0.4 - tiny, tiny, 0.0]))
-    doc = model_to_document(model)
+    doc = json.loads(write_model(None, model))
     labels = [e["label"] for e in doc["entries"]]
     assert labels == ["I", "X"]
     assert doc["truncated_weight"] == pytest.approx(tiny, rel=1e-6)
-    full = model_to_document(model, floor=0.0)
+    full = json.loads(write_model(None, model, floor=0.0))
     assert [e["label"] for e in full["entries"]] == ["I", "X", "Y"]
     assert full["truncated_weight"] == 0.0
 
 
 def test_model_entries_sorted_by_probability_then_index():
     model = nearest_pauli_channel(np.array([0.5, 0.25, 0.25, 0.0]))
-    doc = model_to_document(model)
+    doc = json.loads(write_model(None, model))
     assert [e["label"] for e in doc["entries"]] == ["I", "X", "Y"]
 
 
@@ -238,7 +237,7 @@ def test_model_provenance_is_preserved(tmp_path):
 
 def _write_mutated_model(tmp_path, mutate):
     model = nearest_pauli_channel(np.array([0.9, 0.1, 0.0, 0.0]))
-    doc = model_to_document(model)
+    doc = json.loads(write_model(None, model))
     mutate(doc)
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
@@ -767,9 +766,8 @@ def test_model_text_is_that_of_json_dumps(probs, floor, provenance):
     model = PauliNoiseModel(
         n=2, probs=np.array(probs), diagnostics=ModelDiagnostics(identity_prob=probs[0])
     )
-    document = model_to_document(model, floor=floor, provenance=provenance, strict=False)
     written = write_model(None, model, floor=floor, provenance=provenance, strict=False)
-    assert written == _plain_json(document)
+    assert written == _plain_json(json.loads(written))
 
 
 def test_writers_refuse_non_finite_values(tmp_path):

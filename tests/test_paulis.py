@@ -1,5 +1,4 @@
-"""Label bookkeeping, dense Pauli matrices, the per-qubit transform, and the
-normalized inner product."""
+"""Label bookkeeping, dense Pauli matrices, and the per-qubit transform."""
 
 from __future__ import annotations
 
@@ -7,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import inner
 
 from paulinoise import (
     DimensionError,
     PhysicalityError,
     SizeLimitError,
-    frobenius_inner,
     index_to_label,
     label_to_index,
     pauli_basis,
@@ -180,38 +179,11 @@ def test_completeness_reconstructs_arbitrary_matrices():
         dim = 2**n
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         labels = pauli_basis(n)
-        via_traces = [frobenius_inner(pauli_matrix(label), m) for label in labels]
+        via_traces = [inner(pauli_matrix(label), m) for label in labels]
         via_transform = _pauli_transform(m, _operator_pairs(n))
         for amps in (via_traces, via_transform):
             rebuilt = sum(a * pauli_matrix(label) for a, label in zip(amps, labels))
             np.testing.assert_allclose(rebuilt, m, atol=1e-12)
-
-
-def test_frobenius_inner_examples():
-    assert frobenius_inner(pauli_matrix("I"), pauli_matrix("I")) == 1.0
-    assert frobenius_inner(pauli_matrix("X"), pauli_matrix("Z")) == 0.0
-    eps = 0.1
-    rotation = np.diag([np.exp(-1j * eps), np.exp(1j * eps)])
-    np.testing.assert_allclose(
-        frobenius_inner(pauli_matrix("Z"), rotation), -1j * np.sin(eps), atol=1e-15
-    )
-
-
-def test_frobenius_inner_conjugate_symmetry_and_norm_dim():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert frobenius_inner(a, b) == pytest.approx(np.conj(frobenius_inner(b, a)))
-    assert frobenius_inner(a, b, norm_dim=2) == pytest.approx(2 * frobenius_inner(a, b))
-    with pytest.raises(ValueError):
-        frobenius_inner(a, b, norm_dim=0)
-
-
-def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(DimensionError, match=r"^operand shapes \(2, 2\) and \(4, 4\) differ$"):
-        frobenius_inner(np.eye(2), np.eye(4))
-    with pytest.raises(DimensionError):
-        frobenius_inner(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_qubit_count():

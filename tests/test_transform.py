@@ -2,10 +2,12 @@
 
 ``pauli_coefficients``, ``coefficient_matrix`` and the channel route's
 diagonal all run on the tensorized transform in ``paulis``. These tests hold
-them to direct traces against dense Pauli matrices (``frobenius_inner``) and
+them to direct traces against dense Pauli matrices (``oracles.inner``) and
 to the independent einsum in ``oracles.pauli_pair_diagonal``, on arbitrary
 complex inputs that are neither unitary nor physical, and hold the channel
-route's total weight to the coefficient matrix it no longer builds.
+route's total weight to the coefficient matrix it no longer builds. The
+channel route's error channel is held to the product with the target's lift
+(``oracles.lifted_error_channel``) that it no longer builds either.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pauli_pair_diagonal
+from oracles import inner, lifted_error_channel, pauli_pair_diagonal
 
 from paulinoise import (
     LeakageSpec,
     coefficient_matrix,
     error_channel,
     extract_from_channel,
-    frobenius_inner,
     leakage_project_channel,
     nearest_pauli_channel,
     pauli_basis,
@@ -50,7 +51,7 @@ def test_pauli_coefficients_match_traces(n, seed, scale, norm_dim):
     m = _complex_matrix(2**n, seed, scale)
     coeffs = pauli_coefficients(m, norm_dim=norm_dim)
     assert list(coeffs) == pauli_basis(n)
-    expected = [frobenius_inner(pauli_matrix(label), m, norm_dim=norm_dim) for label in coeffs]
+    expected = [inner(pauli_matrix(label), m, norm_dim=norm_dim) for label in coeffs]
     # Each amplitude is a sum of 2**n entries of size ~scale over norm_dim.
     atol = 1e-14 * scale * max(1.0, 2**n / (norm_dim or 2**n))
     np.testing.assert_allclose(list(coeffs.values()), expected, rtol=0, atol=atol)
@@ -64,7 +65,7 @@ def test_coefficient_matrix_matches_traces_for_every_pair(n, seed):
     labels = pauli_basis(n)
     expected = np.array(
         [
-            [frobenius_inner(np.kron(pauli_matrix(p), pauli_matrix(q).conj()), s) for q in labels]
+            [inner(np.kron(pauli_matrix(p), pauli_matrix(q).conj()), s) for q in labels]
             for p in labels
         ]
     )
@@ -88,7 +89,7 @@ def test_six_qubit_amplitudes_match_traces_on_a_label_sample(seed):
     labels = pauli_basis(6)
     for index in rng.choice(len(labels), size=64, replace=False):
         label = labels[index]
-        assert abs(coeffs[label] - frobenius_inner(pauli_matrix(label), u)) <= 1e-14
+        assert abs(coeffs[label] - inner(pauli_matrix(label), u)) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -113,6 +114,24 @@ def test_channel_diagonal_and_total_match_the_coefficient_matrix(n, seed, scale)
 def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.sampled_from([2, 4, 8, 3, 9]),
+    members=st.integers(min_value=1, max_value=3),
+    seed=SEEDS,
+)
+def test_error_channel_matches_the_lifted_product(dim, members, seed):
+    # Mixtures of unitaries on n <= 3 qubits and on the leakage dimensions 3
+    # and 9, against a Haar-random target.
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(members))
+    s = sum(p * np.kron(u, u.conj()) for p, u in ((p, _haar(dim, rng)) for p in weights))
+    target = _haar(dim, rng)
+    np.testing.assert_allclose(
+        error_channel(s, target), lifted_error_channel(s, target), rtol=0, atol=1e-12
+    )
 
 
 @settings(max_examples=25, deadline=None)
