@@ -253,11 +253,27 @@ class ExtractionResult:
     mixture: np.ndarray | None = None
 
     def weight_matrix(self) -> np.ndarray:
+        """The ``4**n x 4**n`` Pauli-pair coefficient matrix.
+
+        On the unitary and ensemble routes it is exactly Hermitian: the
+        upper triangle of ``sum_k p_k a_k a_k^dag`` as the product gives it,
+        the lower triangle its conjugate mirror, and the diagonal real with
+        imaginary parts of +0.0. The product alone need not be, as a matrix
+        product may round ``w_PQ`` and ``w_QP`` apart, and the mirror moves
+        no entry by more than that rounding. ``model_io``'s coefficient
+        writer formats each mirrored pair of such a matrix once. The channel
+        route returns ``coefficient_matrix(channel)`` as it is, because a
+        channel that does not preserve hermiticity has a matrix that is not
+        Hermitian.
+        """
         if self.channel is not None:
             return coefficient_matrix(self.channel)
         if self.amplitudes is None:
             raise ValueError("no expansion data recorded for this result")
-        return (self.amplitudes.T * self.mixture) @ self.amplitudes.conj()
+        w = (self.amplitudes.T * self.mixture) @ self.amplitudes.conj()
+        w = np.where(np.tri(len(w), k=-1, dtype=bool), w.conj().T, w)
+        np.fill_diagonal(w.imag, 0.0)
+        return w
 
 
 def error_unitary(
@@ -532,8 +548,10 @@ def _leakage_in_range(leak: float, tol: float, source: str) -> float:
 
 
 def _require_preserving(defect: float, tol: float, what: str) -> None:
-    """Raise unless an error channel's ``what``-preservation defect is within ``tol``."""
-    if defect > tol:
+    """Raise unless an error channel's ``what``-preservation defect is within
+    ``tol``. A defect that is not finite, as from an input that overflows,
+    is beyond any tolerance."""
+    if not math.isfinite(defect) or defect > tol:
         raise PhysicalityError(
             f"channel is not {what} preserving (defect {defect:.3e}); pass "
             "allow_nonphysical to extract diagnostics anyway"

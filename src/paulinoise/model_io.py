@@ -63,7 +63,7 @@ import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -197,9 +197,12 @@ def _load_document(path: str | Path, kinds: tuple[str, ...]) -> tuple[dict[str, 
 
 
 #: Row layouts for :func:`dump_json`: the brackets around one row and the
-#: text of each of its fields, with ``%`` where the value goes.
-_PAIR_ROW = ("[]", ("%r", "%r"))
-_ENTRY_ROW = ("{}", ('"label": "%s"', '"probability": %r'))
+#: text of each of its fields, with ``%s`` where the value's text goes.
+_PAIR_ROW = ("[]", ("%s", "%s"))
+_ENTRY_ROW = ("{}", ('"label": "%s"', '"probability": %s'))
+
+#: Rows that :func:`dump_json` joins into one piece of text at a time.
+_CHUNK_ROWS = 4096
 
 
 def dump_json(
@@ -209,7 +212,7 @@ def dump_json(
     key: str = "",
     depth: int = 1,
     row: tuple[str, tuple[str, ...]] = _PAIR_ROW,
-    blocks: Sequence[list[Any]] = (),
+    blocks: Sequence[Iterable[str]] = (),
 ) -> str:
     """The one writer of JSON text: ``document`` with sorted keys and an
     indent of two, written to ``path`` unless that is ``None``, and returned.
@@ -218,39 +221,72 @@ def dump_json(
     Python objects, so that no row passes through the pure-Python encoder
     that ``json.dumps`` falls back to when it indents. Every ``key`` at
     nesting ``depth`` holds ``[]`` in ``document``, and the i-th of them is
-    written with the rows of ``blocks[i]``, a flat list that gives ``row``'s
-    fields their values row after row. ``%r`` of a float is the text
-    ``json`` writes for it, so the text is that of ``json.dumps`` with the
-    arrays in place. Block values must be finite, as ``allow_nan=False``
-    makes the rest of the document: matrix writers check theirs, and a
-    model's probabilities are finite by construction.
+    written with the rows of ``blocks[i]``, an iterable of ready-made texts
+    that gives ``row``'s fields their values row after row. ``repr`` of a
+    finite float is the text ``json`` writes for it, so the text is that of
+    ``json.dumps`` with the arrays in place. Block texts must be those of
+    finite numbers, as ``allow_nan=False`` makes the rest of the document:
+    matrix writers check theirs, and a model's probabilities are finite by
+    construction.
+
+    Rows are joined into pieces of ``_CHUNK_ROWS`` rows, and a block may be
+    a lazy iterable, so that a large array is held as the pieces of its
+    text, never as one list of the texts of all its values.
     """
     try:
         text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise _fail(path, f"document contains non-finite numbers ({exc})") from exc
+    pieces = [text]
     if blocks:
         # JSON strings hold no raw newline, so a newline followed by exactly
         # 2 * depth spaces and the quoted key starts a key at ``depth``.
         head = "\n" + "  " * depth + json.dumps(key) + ": "
         parts = text.split(head + "[]")
-        brackets, fields = row
-        inner = "\n" + "  " * (depth + 1)
-        field_sep = "," + inner + "  "
-        template = brackets[0] + inner + "  " + field_sep.join(fields) + inner + brackets[1]
-        arrays = [
-            "[" + inner + ("," + inner).join([template] * (len(values) // len(fields)))
-            % tuple(values) + "\n" + "  " * depth + "]"
-            if values
-            else "[]"
-            for values in blocks
-        ]
-        text = parts[0] + "".join(
-            head + array + part for array, part in zip(arrays, parts[1:], strict=True)
-        )
+        pieces = [parts[0]]
+        for values, part in zip(blocks, parts[1:], strict=True):
+            pieces.append(head)
+            pieces += _array_pieces(values, row, depth)
+            pieces.append(part)
     if path is not None:
-        Path(path).write_text(text)
-    return text
+        with open(path, "w") as handle:
+            handle.writelines(pieces)
+    return "".join(pieces)
+
+
+def _array_pieces(
+    values: Iterable[str], row: tuple[str, tuple[str, ...]], depth: int
+) -> list[str]:
+    """The text of one array at ``depth`` whose rows have the layout ``row``
+    and take their field values from ``values``, in pieces of at most
+    ``_CHUNK_ROWS`` rows."""
+    (opening, closing), fields = row
+    inner = "\n" + "  " * (depth + 1)
+    field_inner = inner + "  "
+    cuts = [field.split("%s") for field in fields]
+    # The text after each field's value: up to the next field's value, and
+    # after the last field, up to the first value of the next row.
+    seps = [
+        suffix + "," + field_inner + prefix
+        for (_, suffix), (prefix, _) in itertools.pairwise(cuts)
+    ]
+    seps.append(cuts[-1][1] + inner + closing + "," + inner + opening + field_inner + cuts[0][0])
+    values = iter(values)
+    pieces = []
+    while chunk := list(itertools.islice(values, _CHUNK_ROWS * len(fields))):
+        texts: list[Any] = [None] * (2 * len(chunk))
+        texts[0::2] = chunk
+        texts[1::2] = seps * (len(chunk) // len(fields))
+        pieces.append("".join(texts))
+    if not pieces:
+        return ["[]"]
+    # The last row is followed by the end of the array, not by another row.
+    pieces[-1] = pieces[-1][: -len(seps[-1])]
+    return [
+        "[" + inner + opening + field_inner + cuts[0][0],
+        *pieces,
+        cuts[-1][1] + inner + closing + "\n" + "  " * depth + "]",
+    ]
 
 
 def _require(condition: bool, path: str | Path | None, message: str) -> None:
@@ -280,13 +316,69 @@ def _number_field(value: Any, name: str, path: str | Path | None) -> float:
     return number
 
 
-def _pair_values(matrix: np.ndarray) -> list[float]:
-    """Real and imaginary parts of ``matrix``'s entries, row-major and
-    interleaved: the values of its ``data`` rows."""
-    flat = np.ascontiguousarray(matrix, dtype=complex).reshape(-1)
+#: The sign bit of a double, as the bits of ``-0.0``.
+_SIGN_BIT = np.float64(-0.0).view(np.uint64)
+
+
+def _pair_texts(matrix: np.ndarray) -> Iterable[str]:
+    """Texts of the real and imaginary parts of the square ``matrix``'s
+    entries, row-major and interleaved: the values of its ``data`` rows,
+    made lazily, about ``_CHUNK_ROWS`` entries at a time.
+
+    When every entry below the diagonal is, bit for bit, the conjugate of
+    its mirror above it, as in a Hermitian coefficient matrix, only the
+    diagonal and the upper triangle are formatted. A mirror takes the real
+    text of its entry, and the imaginary text with its sign flipped. That is
+    exact because ``repr(-x) == "-" + repr(x)`` for every finite double
+    ``x`` whose sign bit is clear, zero included, so the text is the same as
+    formatting every part.
+    """
+    flat = np.ascontiguousarray(matrix, dtype=complex)
     if not np.isfinite(flat).all():
         raise ModelFormatError("matrix contains non-finite entries")
-    return flat.view(float).tolist()
+    side = flat.shape[0]
+    parts = flat.view(float).reshape(side, side, 2)
+    step = max(1, _CHUNK_ROWS // side)
+    starts = range(0, side, step)
+    if not _mirrors_conjugates(parts):
+        return itertools.chain.from_iterable(
+            map(float.__repr__, parts[start : start + step].ravel().tolist())
+            for start in starts
+        )
+    upper = np.triu(np.ones((side, side), dtype=bool))
+    count = side * (side + 1) // 2
+    # Three texts per entry of the upper triangle, row-major: the real
+    # parts, the imaginary parts and the imaginary parts negated.
+    imag = list(map(float.__repr__, parts[..., 1][upper].tolist()))
+    pool = np.array(
+        list(map(float.__repr__, parts[..., 0][upper].tolist()))
+        + imag
+        + [text[1:] if text[0] == "-" else "-" + text for text in imag],
+        dtype=object,
+    )
+    # The pool index of each entry's real text: its own on and above the
+    # diagonal, its mirror's below. Its imaginary text lies count further on,
+    # and below the diagonal, the mirror's flipped one 2 * count further.
+    slot = np.zeros((side, side), dtype=np.intp)
+    slot[upper] = np.arange(count)
+    lower = ~upper
+    slot[lower] = slot.T[lower]
+    index = np.stack((slot, slot + count + count * lower), axis=-1)
+    return itertools.chain.from_iterable(
+        pool[index[start : start + step]].ravel().tolist() for start in starts
+    )
+
+
+def _mirrors_conjugates(parts: np.ndarray) -> bool:
+    """Whether each entry below the diagonal of the matrix whose real and
+    imaginary parts are ``parts`` (side x side x 2) equals the conjugate of
+    its mirror bit for bit: the same real part, and an imaginary part that
+    differs in the sign bit alone, so that signed zeros count."""
+    bits = parts.view(np.uint64)
+    real, imag = bits[..., 0], bits[..., 1]
+    flips = imag ^ imag.T
+    np.fill_diagonal(flips, _SIGN_BIT)
+    return bool(np.array_equal(real, real.T) and (flips == _SIGN_BIT).all())
 
 
 def _finite_number(value: Any) -> float | None:
@@ -395,7 +487,7 @@ def _write_matrix(
         "data": [],
         "meta": _check_meta(meta, path),
     }
-    return dump_json(path, document, key="data", blocks=[_pair_values(matrix)])
+    return dump_json(path, document, key="data", blocks=[_pair_texts(matrix)])
 
 
 @_collector_paused
@@ -444,7 +536,7 @@ def write_ensemble_file(
     rows, blocks = [], []
     for m in members:
         rows.append({"weight": float(m.weight), "data": []})
-        blocks.append(_pair_values(m.unitary))
+        blocks.append(_pair_texts(m.unitary))
     document = {
         "format_version": FORMAT_VERSION,
         "kind": KIND_ENSEMBLE,
@@ -485,7 +577,15 @@ def write_coefficient_file(
     weights: np.ndarray,
     meta: dict[str, str] | None = None,
 ) -> str:
-    """Write a full Pauli-pair coefficient matrix (row-major, index order)."""
+    """Write a full Pauli-pair coefficient matrix (row-major, index order);
+    returns the JSON text.
+
+    When ``weights`` is Hermitian bit for bit, as ``weight_matrix()`` of the
+    unitary and ensemble routes is, each entry below the diagonal is written
+    from the text of its mirror, so only the diagonal and the upper triangle
+    are formatted. Any other matrix is formatted entry by entry. The text is
+    the same either way.
+    """
     return _write_matrix(path, weights, KIND_COEFFICIENTS, meta)
 
 
@@ -537,7 +637,7 @@ def write_model(
         document["provenance"] = provenance
     values: list[Any] = [None] * (2 * len(kept))
     values[0::2] = pauli_labels(kept, model.n)
-    values[1::2] = probs[kept].tolist()
+    values[1::2] = map(float.__repr__, probs[kept].tolist())
     return dump_json(path, document, key="entries", row=_ENTRY_ROW, blocks=[values])
 
 

@@ -6,11 +6,13 @@ string at a time, and share no code with the per-qubit transform behind
 ``pauli_coefficients``, ``coefficient_matrix`` and the extraction routes.
 The others are one-line numpy definitions: the normalized inner product,
 the identity and off-diagonal weights, and the error channel formed with
-its ``D**4``-entry lift.
+its ``D**4``-entry lift. ``coefficient_document_text`` is the plain
+``json`` text of a coefficient matrix file.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable
 
 import numpy as np
@@ -92,3 +94,18 @@ def pauli_coefficient_via_bitstrings(
         total += (p @ evolved)[b]
         state[b] = 0.0
     return complex(total / dim)
+
+
+def coefficient_document_text(w: np.ndarray, meta: dict[str, str]) -> str:
+    """The text of a coefficient matrix file holding ``w``: ``json.dumps``
+    of the document with ``data`` a list of ``[re, im]`` pairs, row-major,
+    every part formatted on its own."""
+    w = np.asarray(w, dtype=complex)
+    document = {
+        "format_version": 1,
+        "kind": "coefficient_matrix",
+        "n": (w.shape[0].bit_length() - 1) // 2,
+        "data": [[z.real, z.imag] for z in w.reshape(-1).tolist()],
+        "meta": meta,
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -724,6 +724,10 @@ _DISTANCE_OVERFLOW = (
           "--allow-nonphysical"], 2,
          "error: the input's Pauli weights are not finite: they overflow double "
          "precision, or the input holds a non-finite number\n"),
+        # Stripping the target leaves NaN, which no preservation check admits.
+        (["extract-channel", "--channel", "{huge_channel}", "--target", "{hadamard}"], 3,
+         "error: channel is not trace preserving (defect nan); pass allow_nonphysical "
+         "to extract diagnostics anyway\n"),
     ],
     ids=[
         "unitary",
@@ -732,6 +736,7 @@ _DISTANCE_OVERFLOW = (
         "distance-channels",
         "distance-operators-nonphysical",
         "channel-target-nonphysical",
+        "channel-target",
     ],
 )
 def test_overflowing_inputs_warn_nothing_and_write_nothing(tmp_path, capsys, argv, code, err):

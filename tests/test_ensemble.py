@@ -72,6 +72,33 @@ def test_ensemble_route_matches_superoperator_route(n, k, with_target, seed):
     _assert_routes_agree(members, target)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=4),
+    ensemble=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_amplitude_routes_give_an_exactly_hermitian_weight_matrix(n, k, ensemble, seed):
+    rng = np.random.default_rng(seed)
+    target = _haar(2**n, rng)
+    if ensemble:
+        result = extract_from_ensemble(_ensemble(2**n, k, rng), target)
+    else:
+        result = extract_from_unitary(_haar(2**n, rng), target)
+    w = result.weight_matrix()
+    # Bit for bit: each entry below the diagonal is the conjugate of its
+    # mirror, signed zeros included, and the diagonal is real with
+    # imaginary parts of +0.0.
+    bits = w.view(np.uint64).reshape(*w.shape, 2)
+    mirror = np.ascontiguousarray(w.conj().T).view(np.uint64).reshape(*w.shape, 2)
+    off = ~np.eye(len(w), dtype=bool)
+    assert np.array_equal(bits[off], mirror[off])
+    assert not np.diagonal(bits[..., 1]).any()
+    product = (result.amplitudes.T * result.mixture) @ result.amplitudes.conj()
+    np.testing.assert_allclose(w, product, rtol=0, atol=1e-15)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     embedding=st.sampled_from(sorted(EMBEDDINGS)),

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import coefficient_document_text
 
 import paulinoise
 from paulinoise import (
@@ -44,7 +45,6 @@ from paulinoise import (
 )
 from paulinoise.model_io import (
     FORMAT_VERSION,
-    KIND_COEFFICIENTS,
     KIND_ENSEMBLE,
     KIND_OPERATOR,
     KIND_SUPEROPERATOR,
@@ -733,17 +733,60 @@ def test_ensemble_file_text_is_that_of_json_dumps(members, meta):
     assert written == _plain_json(document)
 
 
-@settings(max_examples=30, deadline=None)
-@given(matrix=st.sampled_from([4, 16]).flatmap(_matrices), meta=_META)
-def test_coefficient_file_text_is_that_of_json_dumps(matrix, meta):
-    document = {
-        "format_version": FORMAT_VERSION,
-        "kind": KIND_COEFFICIENTS,
-        "n": 1 if matrix.shape[0] == 4 else 2,
-        "data": _pairs(matrix),
-        "meta": meta,
-    }
-    assert write_coefficient_file(None, matrix, meta=meta) == _plain_json(document)
+def _coefficient_matrices(side: int):
+    """``side x side`` matrices from ``_matrices``, either as drawn or made
+    Hermitian bit for bit by mirroring the upper triangle. A Hermitian draw
+    may then be moved off that below the diagonal, by one ulp of a part or
+    by the sign of a zero imaginary part, or keep a pair of zero imaginary
+    parts that mirror each other; its diagonal's imaginary parts may be set
+    to a signed zero."""
+
+    def build(args):
+        matrix, form, zero, on_diagonal, k = args
+        if form == "drawn":
+            return matrix
+        w = matrix.copy()
+        lower = np.tri(side, k=-1, dtype=bool)
+        w[lower] = w.conj().T[lower]
+        if on_diagonal:
+            np.fill_diagonal(w.imag, zero)
+        rows, cols = np.tril_indices(side, -1)
+        i, j = rows[k % rows.size], cols[k % rows.size]
+        re, im = w.real, w.imag
+        if form == "zero-pair":
+            im[j, i], im[i, j] = zero, -zero
+        elif form == "unsigned-zero-pair":
+            im[j, i] = im[i, j] = zero
+        elif form != "hermitian":
+            part = re if form == "ulp-real" else im
+            part[i, j] = np.nextafter(part[i, j], 0.0) if part[i, j] else 5e-324
+        return w
+
+    return st.tuples(
+        _matrices(side),
+        st.sampled_from(
+            ["drawn", "hermitian", "zero-pair", "unsigned-zero-pair", "ulp-real", "ulp-imag"]
+        ),
+        st.sampled_from([0.0, -0.0]),
+        st.booleans(),
+        st.integers(0, 10**6),
+    ).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+# Each pair of zero imaginary parts has the same sign, so the identity is not
+# Hermitian bit for bit: a mirror would write "-0.0" where it holds 0.0.
+@example(matrix=np.eye(4, dtype=complex), meta={})
+@given(matrix=st.sampled_from([4, 16, 64]).flatmap(_coefficient_matrices), meta=_META)
+def test_coefficient_file_text_is_that_of_json_dumps(tmp_path_factory, matrix, meta):
+    # Hermitian matrices are written from half their formatted parts, and
+    # every other one part by part; neither may change a byte or a bit.
+    path = tmp_path_factory.getbasetemp() / "coefficients.json"
+    assert write_coefficient_file(path, matrix, meta=meta) == coefficient_document_text(
+        matrix, meta
+    )
+    assert path.read_text() == coefficient_document_text(matrix, meta)
+    assert np.array_equal(read_coefficient_file(path).view(np.uint64), matrix.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -812,6 +855,8 @@ def test_construction_refuses_a_negative_truncated_weight():
 # second's 1e-13, below the floor, into the truncated weight.
 @example([0.0] * 12 + [1e-13, 1e-13, 1e-9], 0.0, 0.0, 1e-9, 0.0)
 @example([0.0] * 10 + [1e-9, 1e-9, 0.0, 1e-13, 0.013003490165869828], 0.0, 0.0, 1e-9, 1e-12)
+# Nothing else to pay for, so the excess lifts the identity above 1.
+@example([0.0] * 15, 0.0, 0.0, 9.818490922943916e-10, 0.0)
 @given(
     rest=st.lists(
         st.one_of(st.sampled_from([0.0, 1e-13, 5e-12, 1e-10, 1e-9]), st.floats(0.0, 0.05)),
@@ -829,13 +874,22 @@ def test_strict_writer_and_strict_reader_share_one_budget(
 ):
     identity = 1.0 + excess - leakage - truncated - sum(rest)
     assume(identity >= 0.0)
-    model = PauliNoiseModel(
-        n=2,
-        probs=np.array([identity] + rest),
-        leakage_weight=leakage,
-        truncated_weight=truncated,
-        diagnostics=ModelDiagnostics(identity_prob=identity),
-    )
+
+    def build():
+        return PauliNoiseModel(
+            n=2,
+            probs=np.array([identity] + rest),
+            leakage_weight=leakage,
+            truncated_weight=truncated,
+            diagnostics=ModelDiagnostics(identity_prob=identity),
+        )
+
+    if identity > 1.0:
+        # No model holds a probability above 1, for either side to judge.
+        with pytest.raises(ValueError, match=r"probability for 'II' is .*, outside \[0, 1\]$"):
+            build()
+        return
+    model = build()
     path = tmp_path_factory.getbasetemp() / "budget.json"
     write_model(path, model, floor=floor, strict=False)
     try:
