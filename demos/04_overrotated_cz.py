@@ -15,15 +15,16 @@ from paulinoise import (
     export_stim_chain,
     extract_from_unitary,
     overrotated_cz,
-    pauli_basis,
+    pauli_labels,
 )
 
 theta = 0.2
 model = extract_from_unitary(overrotated_cz(theta), overrotated_cz(0.0)).model
+labels = pauli_labels(np.arange(16), 2)
 
 print(f"theta = {theta}")
 print("model probabilities:")
-for label in pauli_basis(2):
+for label in labels:
     p = model.probability(label)
     if p > 1e-15:
         print(f"  {label}: {p:.12f}")
@@ -40,7 +41,7 @@ print(chain)
 recovered = chain_to_probabilities(chain, 2)
 worst = max(
     abs(recovered.get(label, 0.0) - model.probability(label))
-    for label in pauli_basis(2)
+    for label in labels
     if label != "II"
 )
 print(f"round-trip error across all Pauli strings: {worst:.2e}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import os
 import sys
 from typing import Any, Callable
 
@@ -283,6 +284,23 @@ def _cmd_avg_extract(args: argparse.Namespace) -> int:
     return _run_extraction(args, extract_from_ensemble, members, full_dim, weights=args.weights)
 
 
+def _require_distinct_outputs(args: argparse.Namespace) -> None:
+    """Refuse two output options that name one file, which the later writer
+    would silently overwrite. Paths are compared as spelled, made absolute
+    and normalized, without resolving symlinks."""
+    seen: dict[str, str] = {}
+    outputs = (("-o", args.output), ("--stim", args.stim), ("--full-coeffs", args.full_coeffs))
+    for option, path in outputs:
+        if path:
+            key = os.path.normpath(os.path.abspath(path))
+            if key in seen:
+                raise ValueError(
+                    f"{seen[key]} and {option} name the same file {path!r}; "
+                    "each output needs a file of its own"
+                )
+            seen[key] = option
+
+
 def _run_extraction(
     args: argparse.Namespace,
     route: Callable[..., ExtractionResult],
@@ -293,6 +311,7 @@ def _run_extraction(
     """The body every extraction command shares: ``route`` turns ``source``,
     read from the file named in ``inputs``, into a model on ``full_dim``
     physical levels, which is written with its provenance."""
+    _require_distinct_outputs(args)
     target = _read_matrix(args.target, KIND_OPERATOR) if args.target else None
     result = route(
         source,

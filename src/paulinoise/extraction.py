@@ -187,16 +187,16 @@ class PauliNoiseModel:
         floor moved into ``truncated_weight``, have the same budget."""
         return math.fsum(self.probs.tolist() + [self.leakage_weight, self.truncated_weight])
 
-    def validate(self, tol: float = DEFAULT_TOL) -> "PauliNoiseModel":
+    def validate(self) -> "PauliNoiseModel":
         """Check the probability budget, the one rule of the strict writer and
         the strict reader: probabilities, truncated weight and leakage sum to
-        1 within ``tol``. Each number's range is held by construction.
+        1 within ``DEFAULT_TOL``. Each number's range is held by construction.
         Raises :class:`PhysicalityError` on violation, returns self."""
         total = self.total_weight()
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > DEFAULT_TOL:
             raise PhysicalityError(
                 f"probabilities, truncated weight and leakage sum to {total!r}, "
-                f"not 1 within {tol:g}"
+                f"not 1 within {DEFAULT_TOL:g}"
             )
         return self
 
@@ -316,27 +316,16 @@ def _amplitudes(m: np.ndarray, n: int) -> np.ndarray:
     return _pauli_transform(m, [(q, n + q) for q in range(n)])
 
 
-def pauli_coefficients(
-    u_err: np.ndarray,
-    *,
-    norm_dim: int | None = None,
-) -> dict[str, complex]:
-    """Pauli amplitudes ``u_P = Tr(P u_err) / norm_dim`` for every string ``P``.
+def pauli_coefficients(u_err: np.ndarray) -> dict[str, complex]:
+    """Pauli amplitudes ``u_P = Tr(P u_err) / D`` for every string ``P``,
+    where ``D`` is the matrix dimension.
 
-    For a unitary on the full space the squared magnitudes sum to 1
-    (completeness of the basis). ``norm_dim`` defaults to the matrix
-    dimension; blocks embedded in larger spaces keep their own dimension.
-    The labels come from :func:`pauli_basis`, so its cap applies.
+    For a unitary the squared magnitudes sum to 1 (completeness of the
+    basis). The labels come from :func:`pauli_basis`, so its cap applies.
     """
     m = square_matrix(u_err)
-    if norm_dim is not None and norm_dim < 1:
-        raise ValueError("norm_dim must be a positive integer")
     n = qubit_count(m.shape[0])
-    labels = pauli_basis(n)
-    amp = _amplitudes(m, n)
-    if norm_dim is not None and norm_dim != m.shape[0]:
-        amp = amp * (m.shape[0] / norm_dim)
-    return dict(zip(labels, amp.tolist()))
+    return dict(zip(pauli_basis(n), _amplitudes(m, n).tolist()))
 
 
 def error_channel(
@@ -499,7 +488,6 @@ def _result_from_amplitudes(
 
 def nearest_pauli_channel(
     weights: np.ndarray | Mapping[str, complex],
-    leakage_weight: float = 0.0,
     *,
     tol: float = DEFAULT_TOL,
 ) -> PauliNoiseModel:
@@ -510,7 +498,7 @@ def nearest_pauli_channel(
     labels to weights on at most ``MAX_MODEL_QUBITS`` qubits). The model's
     probabilities are the real parts of the diagonal, clamped to ``[0, 1]``
     within ``tol``; among all Pauli channels this choice minimizes the
-    Frobenius distance to the source.
+    Frobenius distance to the source. The model carries no leakage weight.
 
     With the full matrix available the diagnostics record the squared
     coherent residual and the exact distance to the source channel; with only
@@ -522,14 +510,14 @@ def nearest_pauli_channel(
         diag[[label_to_index(lab) for lab in weights]] = [
             complex(value) for value in weights.values()
         ]
-        return _assemble_model(diag, leakage_weight, None, tol)
+        return _assemble_model(diag, 0.0, None, tol)
     arr = np.asarray(weights, dtype=complex)
     if arr.ndim == 2:
         arr = square_matrix(arr, "coefficient matrix")
         total_sq = float(np.sum(np.abs(arr) ** 2))
-        return _assemble_model(np.diagonal(arr), leakage_weight, total_sq, tol)
+        return _assemble_model(np.diagonal(arr), 0.0, total_sq, tol)
     if arr.ndim == 1:
-        return _assemble_model(arr, leakage_weight, None, tol)
+        return _assemble_model(arr, 0.0, None, tol)
     raise DimensionError(f"weights must be a matrix, vector, or mapping, got ndim={arr.ndim}")
 
 
@@ -569,7 +557,7 @@ def leakage_project(
     Returns the (generally non-unitary) block and the leakage weight
     ``1 - Tr(B^dag B) / comp_dim``, the probability that the error moves
     amplitude out of the computational subspace. The block's Pauli amplitudes
-    (taken with ``norm_dim = comp_dim``) then satisfy
+    ``u_P = Tr(P B) / comp_dim`` then satisfy
     ``sum_P |u_P|^2 = 1 - leakage_weight``. A leakage weight outside
     ``[-tol, 1 + tol]`` is an error; within that range it is clipped to
     ``[0, 1]``.

@@ -146,15 +146,13 @@ def _ensemble_arrays(
 
 def average_channel(
     members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
-    *,
-    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Superoperator of a weighted mixture of unitaries.
 
     Weights must be nonnegative and sum to 1 within ``DEFAULT_SIMPLEX_TOL``
     (1e-12); all members must act on the same space and be unitary within
-    ``tol``. The result is trace preserving by construction but is generally
-    not a unitary lift.
+    ``DEFAULT_TOL``. The result is trace preserving by construction but is
+    generally not a unitary lift.
     """
-    weights, unitaries = _ensemble_arrays(members, tol=tol)
+    weights, unitaries = _ensemble_arrays(members)
     return _lift_mixture(weights, unitaries)

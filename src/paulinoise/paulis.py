@@ -38,9 +38,6 @@ _LETTERS = np.frombuffer(PAULI_ALPHABET.encode("ascii"), dtype=np.uint8)
 # Qubit caps, each checked once where a size enters the package; no caller
 # can raise one. Below them, the one tolerance every route shares.
 
-#: Bounds :func:`pauli_basis` (a list of ``4**n`` labels).
-DEFAULT_MAX_QUBITS = 6
-
 #: Bounds every dense superoperator (``16**n`` complex entries, 16 MiB at 5
 #: qubits): the channel route, ``pauli_channel``, and coefficient matrix
 #: files, written by ``--full-coeffs`` or read back.
@@ -49,7 +46,8 @@ DEFAULT_SUPEROP_MAX_QUBITS = 5
 #: Bounds a model's probability vector (``4**n`` doubles, 128 MiB at 12
 #: qubits): the unitary and ensemble routes, models built or read back and
 #: ``random_unitary``; halved, it bounds ``lift_unitary``, whose ``16**n``
-#: entries match the vector.
+#: entries match the vector, and :func:`pauli_basis`, whose ``4**n`` labels
+#: are Python strings.
 MAX_MODEL_QUBITS = 12
 
 #: Bounds :func:`pauli_labels`: a 31-qubit index still fits in int64.
@@ -182,9 +180,9 @@ def pauli_basis(n: int) -> list[str]:
     """All ``4**n`` Pauli string labels on ``n`` qubits, in index order.
 
     The first label is the identity string ``"I" * n``. Qubit counts above
-    ``DEFAULT_MAX_QUBITS`` are rejected to keep dense enumeration affordable.
+    ``MAX_MODEL_QUBITS // 2`` are rejected to keep dense enumeration affordable.
     """
-    check_qubits(n, DEFAULT_MAX_QUBITS)
+    check_qubits(n, MAX_MODEL_QUBITS // 2)
     return pauli_labels(np.arange(4**n), n)
 
 

@@ -21,12 +21,12 @@ from paulinoise import DimensionError, pauli_basis, pauli_matrix, qubit_count, v
 from paulinoise.channels import superoperator_dims
 
 
-def inner(a: np.ndarray, b: np.ndarray, norm_dim: int | None = None) -> complex:
-    """``Tr(a^dag b) / norm_dim``, ``norm_dim`` defaulting to the dimension
-    of ``a``: Pauli strings are orthonormal under it, and so are the pairs
-    ``kron(P, Q.conj())`` at the superoperator dimension."""
+def inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """``Tr(a^dag b) / D``, ``D`` the dimension of ``a``: Pauli strings are
+    orthonormal under it, and so are the pairs ``kron(P, Q.conj())`` at the
+    superoperator dimension."""
     a = np.asarray(a, dtype=complex)
-    return complex(np.vdot(a, b) / (a.shape[0] if norm_dim is None else norm_dim))
+    return complex(np.vdot(a, b) / a.shape[0])
 
 
 def identity_weight(s: np.ndarray) -> complex:

@@ -688,6 +688,37 @@ def test_overflowing_weights_exit_2_and_write_nothing(tmp_path, capsys, argv, ki
     assert not any(path.exists() for path in outputs)
 
 
+@pytest.mark.parametrize("command", ["extract", "extract-channel", "avg-extract"])
+@pytest.mark.parametrize(
+    "first, second", [("-o", "--stim"), ("-o", "--full-coeffs"), ("--stim", "--full-coeffs")]
+)
+def test_two_outputs_naming_one_file_exit_2_and_write_nothing(
+    tmp_path, monkeypatch, capsys, command, first, second
+):
+    # The second option spells the first one's path another way; the later
+    # writer would otherwise overwrite the earlier file.
+    monkeypatch.chdir(tmp_path)
+    write_matrix_file("u.json", z_rotation(0.1), KIND_OPERATOR)
+    write_matrix_file("s.json", lift_unitary(z_rotation(0.1)), KIND_SUPEROPERATOR)
+    write_ensemble_file("e.json", [EnsembleMember(1.0, z_rotation(0.1))])
+    source = {
+        "extract": ["--unitary", "u.json"],
+        "extract-channel": ["--channel", "s.json"],
+        "avg-extract": ["--weights", "e.json"],
+    }
+    argv = [command] + source[command]
+    before = sorted(os.listdir(tmp_path))
+    alias = str(tmp_path / "sub" / ".." / "m.json")
+    assert run_cli(argv + [first, "m.json", second, alias]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {first} and {second} name the same file {alias!r}; "
+        "each output needs a file of its own\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_model_written_with_a_high_floor_reads_back(tmp_path, capsys):
     # A floor above every probability drops all of them into the truncated
     # weight; rounding puts that sum just over 1 for this seed.

@@ -98,12 +98,6 @@ def test_pauli_coefficients_requires_qubit_dimension():
         pauli_coefficients(np.eye(3))
 
 
-@pytest.mark.parametrize("norm_dim", [0, -2])
-def test_pauli_coefficients_requires_a_positive_norm_dim(norm_dim):
-    with pytest.raises(ValueError, match="^norm_dim must be a positive integer$"):
-        pauli_coefficients(np.eye(2), norm_dim=norm_dim)
-
-
 def test_bitstring_route_equals_inner_product_route():
     for n in (1, 2):
         u = random_unitary(n, 17 + n)

@@ -76,10 +76,15 @@ def test_invalid_labels_rejected():
 
 
 def test_basis_qubit_cap():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"\[1, 6\]"):
         pauli_basis(7)
     with pytest.raises(SizeLimitError):
         pauli_basis(0)
+
+
+def test_pauli_basis_lists_every_label_in_index_order():
+    for n in range(1, 7):
+        assert pauli_basis(n) == pauli_labels(np.arange(4**n), n)
 
 
 def test_pauli_labels_equal_index_to_label():

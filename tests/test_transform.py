@@ -45,16 +45,14 @@ def _complex_matrix(dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
     n=st.integers(min_value=1, max_value=4),
     seed=SEEDS,
     scale=st.floats(min_value=1e-3, max_value=1e3),
-    norm_dim=st.sampled_from([None, 1, 3, 64]),
 )
-def test_pauli_coefficients_match_traces(n, seed, scale, norm_dim):
+def test_pauli_coefficients_match_traces(n, seed, scale):
     m = _complex_matrix(2**n, seed, scale)
-    coeffs = pauli_coefficients(m, norm_dim=norm_dim)
+    coeffs = pauli_coefficients(m)
     assert list(coeffs) == pauli_basis(n)
-    expected = [inner(pauli_matrix(label), m, norm_dim=norm_dim) for label in coeffs]
-    # Each amplitude is a sum of 2**n entries of size ~scale over norm_dim.
-    atol = 1e-14 * scale * max(1.0, 2**n / (norm_dim or 2**n))
-    np.testing.assert_allclose(list(coeffs.values()), expected, rtol=0, atol=atol)
+    expected = [inner(pauli_matrix(label), m) for label in coeffs]
+    # Each amplitude is a sum of 2**n entries of size ~scale over 2**n.
+    np.testing.assert_allclose(list(coeffs.values()), expected, rtol=0, atol=1e-14 * scale)
 
 
 @settings(max_examples=20, deadline=None)
@@ -153,10 +151,10 @@ def test_channel_route_equals_the_projected_coefficient_matrix(n, extra, members
     if extra:
         spec = LeakageSpec(full, tuple(sorted(rng.choice(full, 2**n, replace=False))))
         block, leak = leakage_project_channel(block, spec)
-    expected = nearest_pauli_channel(coefficient_matrix(block), leak)
+    expected = nearest_pauli_channel(coefficient_matrix(block))
     model = extract_from_channel(s, target, leakage=spec).model
     np.testing.assert_allclose(model.probs, expected.probs, rtol=0, atol=1e-15)
-    assert model.leakage_weight == expected.leakage_weight
+    assert model.leakage_weight == leak
     for name in ("identity_prob", "coherent_residual_sq", "distance_to_source"):
         got, want = getattr(model.diagnostics, name), getattr(expected.diagnostics, name)
         assert abs(got - want) <= 1e-15, name
