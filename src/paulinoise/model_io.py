@@ -42,15 +42,30 @@ Readers only decode the structure and finite JSON numbers: the type a number
 is read into (:class:`PauliNoiseModel`, :class:`EnsembleMember`) judges its
 range, and a refusal is re-raised as ``ModelFormatError`` naming the file.
 
-Every reader decodes and converts its document with the cyclic garbage
-collector paused. An n = 4 superoperator file decodes into 65 536 small
-lists, enough to set off many collections that each walk the live tree, yet a
-JSON tree holds no reference cycles: reference counting frees all of it, and
-the collector could never reclaim any of it. A reader returns only arrays and
-dataclasses, so the tree is freed before the collector resumes, and the
-collector is turned back on only if it was on when the read began. The pause
-is process-wide: other threads see the collector off while any read runs, and
-concurrent reads share one pause, which ends with the last of them.
+Every reader decodes its file with orjson, two to three times as fast as the
+stdlib ``json`` module on large files and to the same doubles, and runs its
+checks on that tree. When orjson refuses the file, or the reader refuses
+orjson's tree, the reader runs once more on the stdlib decoder's tree of the
+same bytes, and that run decides: it returns the result or raises the error
+of the stdlib path. So a refusal always carries the stdlib path's message,
+and the decoders' differences reach no caller. orjson reads an integer
+outside [-2**63, 2**64) as a float, refuses lone surrogate escapes and
+numbers beyond double range, and decodes any depth of nesting. A value that
+no check of a reader visits (a model's ``provenance``, an ensemble's
+``meta``, an unknown key) sends the file to the stdlib run when it nests
+deeper than ``_UNREAD_DEPTH``, so that a file the stdlib decoder refuses as
+too deep is still refused.
+
+Every reader decodes and converts its document, in both runs, with the
+cyclic garbage collector paused. An n = 4 superoperator file decodes into
+65 536 small lists, enough to set off many collections that each walk the
+live tree, yet a JSON tree holds no reference cycles: reference counting
+frees all of it, and the collector could never reclaim any of it. A reader
+returns only arrays and dataclasses, so the tree is freed before the
+collector resumes, and the collector is turned back on only if it was on
+when the read began. The pause is process-wide: other threads see the
+collector off while any read runs, and concurrent reads share one pause,
+which ends with the last of them.
 """
 
 from __future__ import annotations
@@ -66,6 +81,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import ModelFormatError, PhysicalityError
 from .extraction import ModelDiagnostics, PauliNoiseModel
@@ -162,24 +178,64 @@ def _reject_nonfinite_constant(token: str) -> float:
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
 
-def _load_document(path: str | Path, kinds: tuple[str, ...]) -> tuple[dict[str, Any], str]:
-    """The one entry of every reader: the JSON object in the file at
-    ``path``, checked to carry this module's ``format_version`` and one of
-    ``kinds``, and that kind. The file is decoded as UTF-8, the encoding of
-    JSON, whatever the locale."""
+#: The two runs of a reader body, as ``(fast, context)``: the first on
+#: orjson's tree, the second on the stdlib decoder's. The first context
+#: suppresses a refusal of the tree, so that the body runs once more. The
+#: second suppresses nothing, so its run returns or refuses, and decides.
+#: Each reader runs its body inline in a loop over these, not through a
+#: helper, so that the stdlib run adds no frame to the stack: that
+#: decoder's nesting limit is the recursion limit less the caller's frames.
+_RUNS = (
+    (True, contextlib.suppress(orjson.JSONDecodeError, ModelFormatError, RecursionError)),
+    (False, contextlib.nullcontext()),
+)
+
+#: How deep a value that no check of a reader visits, such as a model's
+#: ``provenance``, may nest in orjson's tree. orjson decodes any depth,
+#: while the stdlib decoder refuses a document nested past its recursion
+#: limit (about 990 levels at the default limit), so a deeper unread value
+#: sends the document to the stdlib run.
+_UNREAD_DEPTH = 100
+
+#: The keys that the readers check in a document and in its nested objects;
+#: a value under any other key is unread. The matrix keys follow the kind.
+#: An ensemble's ``meta`` is not read.
+_ENSEMBLE_KEYS = ("format_version", "kind", "dim", "members")
+_MEMBER_KEYS = ("weight", "data")
+_MODEL_KEYS = (
+    "format_version", "kind", "n", "entries", "leakage_weight", "truncated_weight", "diagnostics",
+)
+_ENTRY_KEYS = ("label", "probability")
+_DIAGNOSTICS_KEYS = ("identity_prob", "coherent_residual_sq", "distance_to_source")
+
+
+def _read_bytes(path: str | Path) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise _fail(path, f"cannot read file ({exc})") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _fail(path, f"invalid UTF-8 ({exc})") from exc
-    try:
-        doc = json.loads(text, parse_constant=_reject_nonfinite_constant)
-    except (ValueError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the decoder goes.
-        raise _fail(path, f"invalid JSON ({exc})") from exc
+
+
+def _load_document(
+    path: str | Path, data: bytes, kinds: tuple[str, ...], fast: bool
+) -> tuple[dict[str, Any], str]:
+    """The one entry of every reader: the JSON object in ``data``, the bytes
+    of the file at ``path``, checked to carry this module's
+    ``format_version`` and one of ``kinds``, and that kind. orjson decodes
+    it when ``fast``; otherwise the stdlib decoder does, from UTF-8, the
+    encoding of JSON, whatever the locale."""
+    if fast:
+        doc = orjson.loads(data)
+    else:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _fail(path, f"invalid UTF-8 ({exc})") from exc
+        try:
+            doc = json.loads(text, parse_constant=_reject_nonfinite_constant)
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested deeper than the decoder goes.
+            raise _fail(path, f"invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), path, "document root must be a JSON object")
     _require(
         doc.get("format_version") == FORMAT_VERSION,
@@ -194,6 +250,25 @@ def _load_document(path: str | Path, kinds: tuple[str, ...]) -> tuple[dict[str, 
         f"expected a {' or '.join(map(repr, kinds))} document, found {kind!r}",
     )
     return doc, kind
+
+
+def _require_shallow_unread(
+    mapping: dict[str, Any], read: Iterable[str], path: str | Path
+) -> None:
+    """Refuse orjson's tree when a value of ``mapping`` under a key outside
+    ``read`` nests deeper than ``_UNREAD_DEPTH``. The walk goes one level at
+    a time, so that no depth of input recurses."""
+    level = [mapping[key] for key in mapping.keys() - read]
+    for _ in range(_UNREAD_DEPTH):
+        if not level:
+            return
+        level = [
+            child
+            for value in level
+            if isinstance(value, (dict, list))
+            for child in (value.values() if isinstance(value, dict) else value)
+        ]
+    _require(not level, path, "an unread value nests too deep for orjson's tree")
 
 
 #: Row layouts for :func:`dump_json`: the brackets around one row and the
@@ -494,11 +569,18 @@ def _write_matrix(
 def _read_matrix(path: str | Path, kinds: tuple[str, ...]) -> MatrixDocument:
     """The one reader of operator, superoperator and coefficient documents;
     the document must be of one of ``kinds``."""
-    doc, kind = _load_document(path, kinds)
-    key, low, high, side_of, _, _ = _SIZINGS[kind]
-    side = side_of(_int_field(doc.get(key), key, path, low, high))
-    matrix = _pairs_to_matrix(doc.get("data"), side, path, key)
-    return MatrixDocument(kind=kind, matrix=matrix, meta=_check_meta(doc.get("meta"), path))
+    data = _read_bytes(path)
+    for fast, run in _RUNS:
+        with run:
+            doc, kind = _load_document(path, data, kinds, fast)
+            key, low, high, side_of, _, _ = _SIZINGS[kind]
+            if fast:
+                _require_shallow_unread(doc, ("format_version", "kind", key, "data", "meta"), path)
+            side = side_of(_int_field(doc.get(key), key, path, low, high))
+            matrix = _pairs_to_matrix(doc.get("data"), side, path, key)
+            return MatrixDocument(
+                kind=kind, matrix=matrix, meta=_check_meta(doc.get("meta"), path)
+            )
 
 
 def write_matrix_file(
@@ -552,24 +634,32 @@ def write_ensemble_file(
 def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
     """Read a weighted unitary ensemble document; :class:`EnsembleMember`
     judges each weight's range."""
-    doc, _ = _load_document(path, (KIND_ENSEMBLE,))
-    dim = _int_field(doc.get("dim"), "dim", path, 2)
-    raw_members = doc.get("members")
-    _require(
-        isinstance(raw_members, list) and len(raw_members) > 0,
-        path,
-        "'members' must be a non-empty list",
-    )
-    members = []
-    for i, raw in enumerate(raw_members):
-        _require(isinstance(raw, dict), path, f"'members[{i}]' must be an object")
-        weight = _number_field(raw.get("weight"), f"members[{i}].weight", path)
-        matrix = _pairs_to_matrix(raw.get("data"), dim, path, "dim")
-        try:
-            members.append(EnsembleMember(weight=weight, unitary=matrix))
-        except ValueError as exc:
-            raise _fail(path, f"'members[{i}]': {exc}") from exc
-    return members
+    data = _read_bytes(path)
+    for fast, run in _RUNS:
+        with run:
+            doc, _ = _load_document(path, data, (KIND_ENSEMBLE,), fast)
+            if fast:
+                _require_shallow_unread(doc, _ENSEMBLE_KEYS, path)
+            dim = _int_field(doc.get("dim"), "dim", path, 2)
+            raw_members = doc.get("members")
+            _require(
+                isinstance(raw_members, list) and len(raw_members) > 0,
+                path,
+                "'members' must be a non-empty list",
+            )
+            members = []
+            for i, raw in enumerate(raw_members):
+                _require(isinstance(raw, dict), path, f"'members[{i}]' must be an object")
+                # A member without both read keys is refused below.
+                if fast and len(raw) > len(_MEMBER_KEYS):
+                    _require_shallow_unread(raw, _MEMBER_KEYS, path)
+                weight = _number_field(raw.get("weight"), f"members[{i}].weight", path)
+                matrix = _pairs_to_matrix(raw.get("data"), dim, path, "dim")
+                try:
+                    members.append(EnsembleMember(weight=weight, unitary=matrix))
+                except ValueError as exc:
+                    raise _fail(path, f"'members[{i}]': {exc}") from exc
+            return members
 
 
 def write_coefficient_file(
@@ -651,57 +741,77 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     :meth:`PauliNoiseModel.validate`, the budget rule of the strict writer.
     Either refusal raises ``ModelFormatError`` naming the file.
     """
-    doc, _ = _load_document(path, (KIND_MODEL,))
-    n = _int_field(doc.get("n"), "n", path, 1, MAX_MODEL_QUBITS)
-    entries = doc.get("entries")
-    _require(isinstance(entries, list), path, "'entries' must be a list")
-    by_index: dict[int, float] = {}
-    for i, raw in enumerate(entries):
-        _require(isinstance(raw, dict), path, f"'entries[{i}]' must be an object")
-        label = raw.get("label")
-        _require(isinstance(label, str), path, f"'entries[{i}].label' must be a string")
-        try:
-            index = label_to_index(label)
-        except ValueError as exc:
-            raise _fail(path, f"'entries[{i}].label': {exc}") from exc
-        _require(
-            len(label) == n,
-            path,
-            f"'entries[{i}].label' {label!r} does not have {n} characters",
-        )
-        _require(
-            index not in by_index,
-            path,
-            f"'entries[{i}].label' {label!r} appears more than once",
-        )
-        by_index[index] = _number_field(raw.get("probability"), f"entries[{i}].probability", path)
-    leakage = _number_field(doc.get("leakage_weight", 0.0), "leakage_weight", path)
-    truncated = _number_field(doc.get("truncated_weight", 0.0), "truncated_weight", path)
-    diag_raw = doc.get("diagnostics")
-    _require(isinstance(diag_raw, dict), path, "'diagnostics' must be an object")
+    data = _read_bytes(path)
+    for fast, run in _RUNS:
+        with run:
+            doc, _ = _load_document(path, data, (KIND_MODEL,), fast)
+            if fast:
+                _require_shallow_unread(doc, _MODEL_KEYS, path)
+            n = _int_field(doc.get("n"), "n", path, 1, MAX_MODEL_QUBITS)
+            entries = doc.get("entries")
+            _require(isinstance(entries, list), path, "'entries' must be a list")
+            by_index: dict[int, float] = {}
+            for i, raw in enumerate(entries):
+                _require(isinstance(raw, dict), path, f"'entries[{i}]' must be an object")
+                # An entry without both read keys is refused below.
+                if fast and len(raw) > len(_ENTRY_KEYS):
+                    _require_shallow_unread(raw, _ENTRY_KEYS, path)
+                label = raw.get("label")
+                _require(isinstance(label, str), path, f"'entries[{i}].label' must be a string")
+                try:
+                    index = label_to_index(label)
+                except ValueError as exc:
+                    raise _fail(path, f"'entries[{i}].label': {exc}") from exc
+                _require(
+                    len(label) == n,
+                    path,
+                    f"'entries[{i}].label' {label!r} does not have {n} characters",
+                )
+                _require(
+                    index not in by_index,
+                    path,
+                    f"'entries[{i}].label' {label!r} appears more than once",
+                )
+                by_index[index] = _number_field(
+                    raw.get("probability"), f"entries[{i}].probability", path
+                )
+            leakage = _number_field(doc.get("leakage_weight", 0.0), "leakage_weight", path)
+            truncated = _number_field(
+                doc.get("truncated_weight", 0.0), "truncated_weight", path
+            )
+            diag_raw = doc.get("diagnostics")
+            _require(isinstance(diag_raw, dict), path, "'diagnostics' must be an object")
+            if fast:
+                _require_shallow_unread(diag_raw, _DIAGNOSTICS_KEYS, path)
 
-    def _optional_float(key: str) -> float | None:
-        value = diag_raw.get(key)
-        return None if value is None else _number_field(value, f"diagnostics.{key}", path)
+            def _optional_float(key: str) -> float | None:
+                value = diag_raw.get(key)
+                if value is None:
+                    return None
+                return _number_field(value, f"diagnostics.{key}", path)
 
-    diagnostics = ModelDiagnostics(
-        identity_prob=_number_field(
-            diag_raw.get("identity_prob"), "diagnostics.identity_prob", path
-        ),
-        coherent_residual_sq=_optional_float("coherent_residual_sq"),
-        distance_to_source=_optional_float("distance_to_source"),
-    )
-    probs = np.zeros(4**n)
-    probs[list(by_index)] = list(by_index.values())
-    try:
-        model = PauliNoiseModel(
-            n, probs, leakage_weight=leakage, truncated_weight=truncated, diagnostics=diagnostics
-        )
-        if strict:
-            model.validate()
-    except (ValueError, PhysicalityError) as exc:
-        raise _fail(path, str(exc)) from exc
-    return model
+            diagnostics = ModelDiagnostics(
+                identity_prob=_number_field(
+                    diag_raw.get("identity_prob"), "diagnostics.identity_prob", path
+                ),
+                coherent_residual_sq=_optional_float("coherent_residual_sq"),
+                distance_to_source=_optional_float("distance_to_source"),
+            )
+            probs = np.zeros(4**n)
+            probs[list(by_index)] = list(by_index.values())
+            try:
+                model = PauliNoiseModel(
+                    n,
+                    probs,
+                    leakage_weight=leakage,
+                    truncated_weight=truncated,
+                    diagnostics=diagnostics,
+                )
+                if strict:
+                    model.validate()
+            except (ValueError, PhysicalityError) as exc:
+                raise _fail(path, str(exc)) from exc
+            return model
 
 
 def _target_table(first: int, count: int) -> list[str]:
