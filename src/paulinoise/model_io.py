@@ -1,9 +1,11 @@
 """JSON document codecs and the stochastic-simulator export.
 
 All documents are JSON objects carrying ``format_version`` (currently 1) and
-a ``kind`` discriminator. Floats are written with Python's shortest
-round-trip representation, so write-then-read reproduces every IEEE-754
-double exactly.
+a ``kind`` discriminator. Floats are written as ``repr`` writes them, with
+the shortest digits that round-trip, so write-then-read reproduces every
+IEEE-754 double exactly. The texts of an array come from one orjson call
+(one per chunk of rows of a large matrix; see :func:`_float_texts`), several
+times as fast as ``repr`` on each value.
 
 operator / superoperator / coefficient matrix document::
 
@@ -297,12 +299,11 @@ def dump_json(
     that ``json.dumps`` falls back to when it indents. Every ``key`` at
     nesting ``depth`` holds ``[]`` in ``document``, and the i-th of them is
     written with the rows of ``blocks[i]``, an iterable of ready-made texts
-    that gives ``row``'s fields their values row after row. ``repr`` of a
-    finite float is the text ``json`` writes for it, so the text is that of
-    ``json.dumps`` with the arrays in place. Block texts must be those of
-    finite numbers, as ``allow_nan=False`` makes the rest of the document:
-    matrix writers check theirs, and a model's probabilities are finite by
-    construction.
+    that gives ``row``'s fields their values row after row. A block's
+    numbers come from :func:`_float_texts`, which gives ``repr`` of each
+    finite float, the text ``json`` writes for it, and refuses the rest, as
+    ``allow_nan=False`` does for the rest of the document. So the text is
+    that of ``json.dumps`` with the arrays in place.
 
     Rows are joined into pieces of ``_CHUNK_ROWS`` rows, and a block may be
     a lazy iterable, so that a large array is held as the pieces of its
@@ -391,6 +392,53 @@ def _number_field(value: Any, name: str, path: str | Path | None) -> float:
     return number
 
 
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each double of the float array ``values``, row-major,
+    from one ``orjson.dumps`` call.
+
+    orjson (Ryu) and ``repr`` (Gay's algorithm) both give the shortest
+    digits that round-trip, rounded to nearest; only the layout around the
+    digits differs, and only where ``1e-9 <= |x| < 1e-4`` or
+    ``|x| >= 1e16``. There orjson writes ``1e-7`` and ``1e16`` where
+    ``repr`` writes ``1e-07`` and ``1e+16``, and ``0.000015`` where ``repr``
+    writes ``1.5e-05``, so only those entries are laid out again, each on
+    its own. Below ``1e-9`` the exponent has two digits or more, and both
+    write ``1e-10``.
+
+    orjson writes a NaN or an infinity as ``null``, so this refuses them
+    with ``ModelFormatError``. Only a matrix can hold one: a model's
+    probabilities and a chain's conditionals are finite by construction.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    if not np.isfinite(flat).all():
+        raise ModelFormatError("matrix contains non-finite entries")
+    if not flat.size:
+        return []
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(flat)
+    relaid = ((size < 1e-4) & (size >= 1e-9) | (size >= 1e16)).nonzero()[0]
+    for i in relaid.tolist():
+        texts[i] = _repr_layout(texts[i])
+    return texts
+
+
+def _repr_layout(text: str) -> str:
+    """``repr``'s layout of orjson's ``text`` of a double with
+    ``1e-9 <= |x| < 1e-4`` or ``|x| >= 1e16``: a two-digit negative
+    exponent, a signed positive one, and scientific notation below
+    ``1e-4``."""
+    head, e, exponent = text.partition("e")
+    if not e:
+        # orjson writes [1e-5, 1e-4) positionally: 0.0000ddd is d.dde-05.
+        sign, _, digits = text.partition("0.0000")
+        if len(digits) == 1:
+            return f"{sign}{digits}e-05"
+        return f"{sign}{digits[0]}.{digits[1:]}e-05"
+    if exponent[0] == "-":
+        return f"{head}e-0{exponent[1:]}"
+    return f"{head}e+{exponent}"
+
+
 #: The sign bit of a double, as the bits of ``-0.0``.
 _SIGN_BIT = np.float64(-0.0).view(np.uint64)
 
@@ -405,28 +453,26 @@ def _pair_texts(matrix: np.ndarray) -> Iterable[str]:
     diagonal and the upper triangle are formatted. A mirror takes the real
     text of its entry, and the imaginary text with its sign flipped. That is
     exact because ``repr(-x) == "-" + repr(x)`` for every finite double
-    ``x`` whose sign bit is clear, zero included, so the text is the same as
-    formatting every part.
+    ``x`` whose sign bit is clear, zero included, and the texts are those of
+    ``repr``, so the text is the same as formatting every part.
+    :func:`_float_texts` refuses a non-finite part.
     """
     flat = np.ascontiguousarray(matrix, dtype=complex)
-    if not np.isfinite(flat).all():
-        raise ModelFormatError("matrix contains non-finite entries")
     side = flat.shape[0]
     parts = flat.view(float).reshape(side, side, 2)
     step = max(1, _CHUNK_ROWS // side)
     starts = range(0, side, step)
     if not _mirrors_conjugates(parts):
         return itertools.chain.from_iterable(
-            map(float.__repr__, parts[start : start + step].ravel().tolist())
-            for start in starts
+            _float_texts(parts[start : start + step]) for start in starts
         )
     upper = np.triu(np.ones((side, side), dtype=bool))
     count = side * (side + 1) // 2
     # Three texts per entry of the upper triangle, row-major: the real
     # parts, the imaginary parts and the imaginary parts negated.
-    imag = list(map(float.__repr__, parts[..., 1][upper].tolist()))
+    imag = _float_texts(parts[..., 1][upper])
     pool = np.array(
-        list(map(float.__repr__, parts[..., 0][upper].tolist()))
+        _float_texts(parts[..., 0][upper])
         + imag
         + [text[1:] if text[0] == "-" else "-" + text for text in imag],
         dtype=object,
@@ -727,7 +773,7 @@ def write_model(
         document["provenance"] = provenance
     values: list[Any] = [None] * (2 * len(kept))
     values[0::2] = pauli_labels(kept, model.n)
-    values[1::2] = map(float.__repr__, probs[kept].tolist())
+    values[1::2] = _float_texts(probs[kept])
     return dump_json(path, document, key="entries", row=_ENTRY_ROW, blocks=[values])
 
 
@@ -848,18 +894,18 @@ def export_stim_chain(model: PauliNoiseModel) -> str:
             denominator <= 1e-15, 1.0, np.minimum(probs / denominator, 1.0)
         )
     # A line's targets are those of the high qubits of its string, then those
-    # of the low ones, each looked up by that half of the index.
+    # of the low ones, each looked up by that half of the index. The high
+    # texts carry the ")" that closes the probability, the low ones the
+    # line's newline, so a line is four pieces.
     low = model.n // 2
-    high_table = _target_table(0, model.n - low)
-    low_table = _target_table(model.n - low, low)
-    values: list[Any] = [None] * (3 * kept.size)
-    values[0::3] = conditional.tolist()
-    values[1::3] = [high_table[i] for i in (kept >> (2 * low)).tolist()]
-    values[2::3] = [low_table[i] for i in (kept & (4**low - 1)).tolist()]
-    template = "CORRELATED_ERROR(%r)%s%s\n" + "ELSE_CORRELATED_ERROR(%r)%s%s\n" * (
-        kept.size - 1
-    )
-    return template % tuple(values)
+    high_table = [")" + targets for targets in _target_table(0, model.n - low)]
+    low_table = [targets + "\n" for targets in _target_table(model.n - low, low)]
+    pieces = ["ELSE_CORRELATED_ERROR("] * (4 * kept.size)
+    pieces[0] = "CORRELATED_ERROR("
+    pieces[1::4] = _float_texts(conditional)
+    pieces[2::4] = [high_table[i] for i in (kept >> (2 * low)).tolist()]
+    pieces[3::4] = [low_table[i] for i in (kept & (4**low - 1)).tolist()]
+    return "".join(pieces)
 
 
 def chain_to_probabilities(text: str, n: int) -> dict[str, float]:

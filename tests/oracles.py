@@ -7,18 +7,28 @@ string at a time, and share no code with the per-qubit transform behind
 The others are one-line numpy definitions: the normalized inner product,
 the identity and off-diagonal weights, and the error channel formed with
 its ``D**4``-entry lift. ``coefficient_document_text`` is the plain
-``json`` text of a coefficient matrix file.
+``json`` text of a coefficient matrix file, and ``stim_chain_text`` the text
+of a stim chain, each number formatted by ``%r``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
-from paulinoise import DimensionError, pauli_basis, pauli_matrix, qubit_count, validate_label
+from paulinoise import (
+    DimensionError,
+    PauliNoiseModel,
+    pauli_basis,
+    pauli_matrix,
+    qubit_count,
+    validate_label,
+)
 from paulinoise.channels import superoperator_dims
+from paulinoise.paulis import PAULI_ALPHABET
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -109,3 +119,38 @@ def coefficient_document_text(w: np.ndarray, meta: dict[str, str]) -> str:
         "meta": meta,
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def _target_table(first: int, count: int) -> list[str]:
+    """The chain targets of every string on qubits ``first .. first + count
+    - 1``, in index order, each target led by a space (``" X3 Z4"``)."""
+    choices = [
+        [""] + [f" {ch}{q}" for ch in PAULI_ALPHABET[1:]] for q in range(first, first + count)
+    ]
+    return ["".join(targets) for targets in itertools.product(*choices)]
+
+
+def stim_chain_text(model: PauliNoiseModel) -> str:
+    """The stim chain of ``model``, each conditional probability formatted
+    by a ``%r`` template: one line per positive non-identity entry, in
+    index order."""
+    kept = np.flatnonzero(model.probs[1:] > 0.0) + 1
+    if not kept.size:
+        return ""
+    probs = model.probs[kept]
+    with np.errstate(all="ignore"):
+        denominator = 1.0 - np.concatenate(([0.0], np.cumsum(probs[:-1])))
+        conditional = np.where(
+            denominator <= 1e-15, 1.0, np.minimum(probs / denominator, 1.0)
+        )
+    low = model.n // 2
+    high_table = _target_table(0, model.n - low)
+    low_table = _target_table(model.n - low, low)
+    values: list[Any] = [None] * (3 * kept.size)
+    values[0::3] = conditional.tolist()
+    values[1::3] = [high_table[i] for i in (kept >> (2 * low)).tolist()]
+    values[2::3] = [low_table[i] for i in (kept & (4**low - 1)).tolist()]
+    template = "CORRELATED_ERROR(%r)%s%s\n" + "ELSE_CORRELATED_ERROR(%r)%s%s\n" * (
+        kept.size - 1
+    )
+    return template % tuple(values)
