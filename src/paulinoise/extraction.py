@@ -260,11 +260,9 @@ class ExtractionResult:
         the lower triangle its conjugate mirror, and the diagonal real with
         imaginary parts of +0.0. The product alone need not be, as a matrix
         product may round ``w_PQ`` and ``w_QP`` apart, and the mirror moves
-        no entry by more than that rounding. ``model_io``'s coefficient
-        writer formats each mirrored pair of such a matrix once. The channel
-        route returns ``coefficient_matrix(channel)`` as it is, because a
-        channel that does not preserve hermiticity has a matrix that is not
-        Hermitian.
+        no entry by more than that rounding. The channel route returns
+        ``coefficient_matrix(channel)`` as it is, because a channel that
+        does not preserve hermiticity has a matrix that is not Hermitian.
         """
         if self.channel is not None:
             return coefficient_matrix(self.channel)

@@ -439,67 +439,19 @@ def _repr_layout(text: str) -> str:
     return f"{head}e+{exponent}"
 
 
-#: The sign bit of a double, as the bits of ``-0.0``.
-_SIGN_BIT = np.float64(-0.0).view(np.uint64)
-
-
 def _pair_texts(matrix: np.ndarray) -> Iterable[str]:
     """Texts of the real and imaginary parts of the square ``matrix``'s
     entries, row-major and interleaved: the values of its ``data`` rows,
-    made lazily, about ``_CHUNK_ROWS`` entries at a time.
-
-    When every entry below the diagonal is, bit for bit, the conjugate of
-    its mirror above it, as in a Hermitian coefficient matrix, only the
-    diagonal and the upper triangle are formatted. A mirror takes the real
-    text of its entry, and the imaginary text with its sign flipped. That is
-    exact because ``repr(-x) == "-" + repr(x)`` for every finite double
-    ``x`` whose sign bit is clear, zero included, and the texts are those of
-    ``repr``, so the text is the same as formatting every part.
-    :func:`_float_texts` refuses a non-finite part.
+    made lazily by one :func:`_float_texts` call per block of rows of about
+    ``_CHUNK_ROWS`` entries. ``_float_texts`` refuses a non-finite part.
     """
     flat = np.ascontiguousarray(matrix, dtype=complex)
     side = flat.shape[0]
     parts = flat.view(float).reshape(side, side, 2)
     step = max(1, _CHUNK_ROWS // side)
-    starts = range(0, side, step)
-    if not _mirrors_conjugates(parts):
-        return itertools.chain.from_iterable(
-            _float_texts(parts[start : start + step]) for start in starts
-        )
-    upper = np.triu(np.ones((side, side), dtype=bool))
-    count = side * (side + 1) // 2
-    # Three texts per entry of the upper triangle, row-major: the real
-    # parts, the imaginary parts and the imaginary parts negated.
-    imag = _float_texts(parts[..., 1][upper])
-    pool = np.array(
-        _float_texts(parts[..., 0][upper])
-        + imag
-        + [text[1:] if text[0] == "-" else "-" + text for text in imag],
-        dtype=object,
-    )
-    # The pool index of each entry's real text: its own on and above the
-    # diagonal, its mirror's below. Its imaginary text lies count further on,
-    # and below the diagonal, the mirror's flipped one 2 * count further.
-    slot = np.zeros((side, side), dtype=np.intp)
-    slot[upper] = np.arange(count)
-    lower = ~upper
-    slot[lower] = slot.T[lower]
-    index = np.stack((slot, slot + count + count * lower), axis=-1)
     return itertools.chain.from_iterable(
-        pool[index[start : start + step]].ravel().tolist() for start in starts
+        _float_texts(parts[start : start + step]) for start in range(0, side, step)
     )
-
-
-def _mirrors_conjugates(parts: np.ndarray) -> bool:
-    """Whether each entry below the diagonal of the matrix whose real and
-    imaginary parts are ``parts`` (side x side x 2) equals the conjugate of
-    its mirror bit for bit: the same real part, and an imaginary part that
-    differs in the sign bit alone, so that signed zeros count."""
-    bits = parts.view(np.uint64)
-    real, imag = bits[..., 0], bits[..., 1]
-    flips = imag ^ imag.T
-    np.fill_diagonal(flips, _SIGN_BIT)
-    return bool(np.array_equal(real, real.T) and (flips == _SIGN_BIT).all())
 
 
 def _finite_number(value: Any) -> float | None:
@@ -714,14 +666,7 @@ def write_coefficient_file(
     meta: dict[str, str] | None = None,
 ) -> str:
     """Write a full Pauli-pair coefficient matrix (row-major, index order);
-    returns the JSON text.
-
-    When ``weights`` is Hermitian bit for bit, as ``weight_matrix()`` of the
-    unitary and ensemble routes is, each entry below the diagonal is written
-    from the text of its mirror, so only the diagonal and the upper triangle
-    are formatted. Any other matrix is formatted entry by entry. The text is
-    the same either way.
-    """
+    returns the JSON text."""
     return _write_matrix(path, weights, KIND_COEFFICIENTS, meta)
 
 

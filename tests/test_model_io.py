@@ -734,12 +734,12 @@ def test_ensemble_file_text_is_that_of_json_dumps(members, meta):
 
 
 def _coefficient_matrices(side: int):
-    """``side x side`` matrices from ``_matrices``, either as drawn or made
-    Hermitian bit for bit by mirroring the upper triangle. A Hermitian draw
-    may then be moved off that below the diagonal, by one ulp of a part or
-    by the sign of a zero imaginary part, or keep a pair of zero imaginary
-    parts that mirror each other; its diagonal's imaginary parts may be set
-    to a signed zero."""
+    """``side x side`` matrices from ``_matrices``, either as drawn or with
+    the conjugate of the upper triangle below the diagonal, as the unitary
+    and ensemble routes write them. Such a matrix may then be moved off
+    Hermitian below the diagonal, by one ulp of a part or by the sign of a
+    zero imaginary part, or hold a pair of zero imaginary parts of either
+    sign; its diagonal's imaginary parts may be set to a signed zero."""
 
     def build(args):
         matrix, form, zero, on_diagonal, k = args
@@ -774,19 +774,41 @@ def _coefficient_matrices(side: int):
 
 
 @settings(max_examples=40, deadline=None)
-# Each pair of zero imaginary parts has the same sign, so the identity is not
-# Hermitian bit for bit: a mirror would write "-0.0" where it holds 0.0.
+# Every imaginary part is 0.0, and none may be written as "-0.0".
 @example(matrix=np.eye(4, dtype=complex), meta={})
 @given(matrix=st.sampled_from([4, 16, 64]).flatmap(_coefficient_matrices), meta=_META)
 def test_coefficient_file_text_is_that_of_json_dumps(tmp_path_factory, matrix, meta):
-    # Hermitian matrices are written from half their formatted parts, and
-    # every other one part by part; neither may change a byte or a bit.
+    # No form of matrix may change a byte or a bit.
     path = tmp_path_factory.getbasetemp() / "coefficients.json"
     assert write_coefficient_file(path, matrix, meta=meta) == coefficient_document_text(
         matrix, meta
     )
     assert path.read_text() == coefficient_document_text(matrix, meta)
     assert np.array_equal(read_coefficient_file(path).view(np.uint64), matrix.view(np.uint64))
+
+
+def test_documents_of_several_pieces_are_those_of_json_dumps(tmp_path):
+    # Each document has more rows than one piece of text holds (4096): a
+    # 128 x 128 operator is 4 pieces and 4 blocks of formatted rows, an
+    # n = 4 coefficient matrix 16 pieces, and an n = 7 model with every
+    # entry kept 4 pieces.
+    path = tmp_path / "doc.json"
+    operator = random_unitary(7, 3)
+    text = write_matrix_file(path, operator, KIND_OPERATOR)
+    assert text == path.read_text() == _plain_json(json.loads(text))
+    assert np.array_equal(read_matrix_file(path).matrix.view(np.uint64), operator.view(np.uint64))
+
+    weights = extract_from_unitary(random_unitary(4, 1), random_unitary(4, 2)).weight_matrix()
+    text = write_coefficient_file(path, weights)
+    assert text == path.read_text() == _plain_json(json.loads(text))
+    assert np.array_equal(read_coefficient_file(path).view(np.uint64), weights.view(np.uint64))
+
+    probs = np.random.default_rng(5).dirichlet(np.ones(4**7))
+    model = PauliNoiseModel(n=7, probs=probs, diagnostics=ModelDiagnostics(probs[0]))
+    text = write_model(path, model, floor=0.0)
+    assert text == path.read_text() == _plain_json(json.loads(text))
+    assert len(json.loads(text)["entries"]) == 4**7
+    assert np.array_equal(read_model(path).probs.view(np.uint64), probs.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
