@@ -37,7 +37,7 @@ band ``[-tol, 1 + tol]`` within which diagonal weights are clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -124,16 +124,15 @@ class PauliNoiseModel:
     Construction holds each number to its range, the one rule for every
     caller and reader: probabilities and leakage in ``[0, 1]``, the truncated
     weight finite and ``>= 0`` (the budget bounds it). A ``ValueError``
-    naming the first offender refuses any other model.
+    naming the first offender refuses any other model. ``diagnostics``
+    defaults to the model's own identity probability ``probs[0]``.
     """
 
     n: int
     probs: np.ndarray
     leakage_weight: float = 0.0
     truncated_weight: float = 0.0
-    diagnostics: ModelDiagnostics = field(
-        default_factory=lambda: ModelDiagnostics(identity_prob=0.0)
-    )
+    diagnostics: ModelDiagnostics | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_qubits(self.n, MAX_MODEL_QUBITS))
@@ -156,6 +155,8 @@ class PauliNoiseModel:
                 raise ValueError(f"{name} is {float(value)!r}, {rule}")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+        if self.diagnostics is None:
+            object.__setattr__(self, "diagnostics", ModelDiagnostics(float(probs[0])))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliNoiseModel):
@@ -620,14 +621,15 @@ def _extract_from_errors(
     Each error is projected onto the computational block when ``leakage`` is
     given (the leakage weight is ``sum_k p_k leak_k``) and expanded into
     amplitudes. Memory is ``O(K 4**n)``, no more than the input already
-    holds, so the cap is that of the model: ``MAX_MODEL_QUBITS``.
+    holds, so the cap is that of the model: ``MAX_MODEL_QUBITS``, which
+    each route checks before its unitarity checks.
     """
     leak = 0.0
     if leakage is not None:
         blocks, leaks = zip(*(leakage_project(e, leakage, tol=tol) for e in errs))
         errs = np.stack(blocks)
         leak = float(weights @ np.array(leaks))
-    n = check_qubits(qubit_count(errs.shape[1]), MAX_MODEL_QUBITS)
+    n = qubit_count(errs.shape[1])
     amplitudes = np.stack([_amplitudes(e, n) for e in errs])
     return _result_from_amplitudes(amplitudes, weights, leak, tol, allow_nonphysical)
 
@@ -652,6 +654,7 @@ def extract_from_unitary(
     result on demand. ``allow_nonphysical`` skips the unitarity checks.
     """
     u = square_matrix(u)
+    check_levels(u.shape[0] if leakage is None else leakage.comp_dim, MAX_MODEL_QUBITS)
     if target is None:
         target = np.eye(u.shape[0], dtype=complex)
     err = error_unitary(u, target, tol=tol, allow_nonphysical=allow_nonphysical)
@@ -678,7 +681,11 @@ def extract_from_ensemble(
     :func:`average_channel`, and trace preservation of the mixture is
     enforced unless ``allow_nonphysical`` is set.
     """
-    weights, unitaries = _ensemble_arrays(members, tol=tol)
+    weights, unitaries = _ensemble_arrays(
+        members,
+        lambda dim: check_levels(dim if leakage is None else leakage.comp_dim, MAX_MODEL_QUBITS),
+        tol=tol,
+    )
     errs = unitaries
     if target is not None:
         errs = unitaries @ _target_adjoint(target, unitaries.shape[1], tol)

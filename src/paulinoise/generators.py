@@ -13,7 +13,7 @@ result is Haar distributed and identical for identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .paulis import (
     DEFAULT_SUPEROP_MAX_QUBITS,
     DEFAULT_TOL,
     MAX_MODEL_QUBITS,
+    check_levels,
     check_qubits,
     mapping_qubits,
     pauli_matrix,
@@ -120,6 +121,7 @@ def _lift_mixture(weights: Iterable[float], ops: Iterable[np.ndarray]) -> np.nda
 
 def _ensemble_arrays(
     members: Sequence[EnsembleMember] | Iterable[EnsembleMember],
+    check_size: Callable[[int], object],
     *,
     tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +129,8 @@ def _ensemble_arrays(
 
     The ensemble must be non-empty, its members must act on one space and be
     unitary within ``tol``, and its weights must sum to 1 within
-    ``DEFAULT_SIMPLEX_TOL``.
+    ``DEFAULT_SIMPLEX_TOL``. ``check_size(D)``, the caller's size cap, runs
+    before any unitarity check, the first work that grows as ``D**3``.
     """
     members = list(members)
     if not members:
@@ -135,6 +138,7 @@ def _ensemble_arrays(
     dims = {m.unitary.shape[0] for m in members}
     if len(dims) != 1:
         raise DimensionError(f"ensemble members act on different dimensions: {sorted(dims)}")
+    check_size(dims.pop())
     weights = _check_simplex(
         np.array([m.weight for m in members], dtype=float), "ensemble weights"
     )
@@ -151,8 +155,11 @@ def average_channel(
 
     Weights must be nonnegative and sum to 1 within ``DEFAULT_SIMPLEX_TOL``
     (1e-12); all members must act on the same space and be unitary within
-    ``DEFAULT_TOL``. The result is trace preserving by construction but is
-    generally not a unitary lift.
+    ``DEFAULT_TOL``. Like every dense superoperator, the result is held to
+    ``DEFAULT_SUPEROP_MAX_QUBITS``, checked before the members are. It is
+    trace preserving by construction but is generally not a unitary lift.
     """
-    weights, unitaries = _ensemble_arrays(members)
+    weights, unitaries = _ensemble_arrays(
+        members, lambda dim: check_levels(dim, DEFAULT_SUPEROP_MAX_QUBITS)
+    )
     return _lift_mixture(weights, unitaries)

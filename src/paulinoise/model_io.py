@@ -44,19 +44,24 @@ Readers only decode the structure and finite JSON numbers: the type a number
 is read into (:class:`PauliNoiseModel`, :class:`EnsembleMember`) judges its
 range, and a refusal is re-raised as ``ModelFormatError`` naming the file.
 
-Every reader decodes its file with orjson, two to three times as fast as the
-stdlib ``json`` module on large files and to the same doubles, and runs its
-checks on that tree. When orjson refuses the file, or the reader refuses
-orjson's tree, the reader runs once more on the stdlib decoder's tree of the
-same bytes, and that run decides: it returns the result or raises the error
-of the stdlib path. So a refusal always carries the stdlib path's message,
-and the decoders' differences reach no caller. orjson reads an integer
-outside [-2**63, 2**64) as a float, refuses lone surrogate escapes and
-numbers beyond double range, and decodes any depth of nesting. A value that
-no check of a reader visits (a model's ``provenance``, an ensemble's
-``meta``, an unknown key) sends the file to the stdlib run when it nests
-deeper than ``_UNREAD_DEPTH``, so that a file the stdlib decoder refuses as
-too deep is still refused.
+Every reader is one body run by one skeleton, :func:`_read_document`, on
+the tree that orjson decodes, two to three times as fast as the stdlib
+``json`` module on large files and to the same doubles. When orjson refuses
+the file, or the body refuses orjson's tree, the body runs once more on the
+stdlib decoder's tree of the same bytes, and that run decides: it returns
+the result or raises the error of the stdlib path. So a refusal always
+carries the stdlib path's message, and the decoders' differences reach no
+caller. orjson reads an integer outside [-2**63, 2**64) as a float, refuses
+lone surrogate escapes and numbers beyond double range, and decodes any
+depth of nesting. A body ``pop``s from the tree exactly the values that it
+checks in full (matrix ``data``, each entry's ``label`` and
+``probability``) and nothing else. The skeleton walks what is left, and a
+value nested deeper than ``_UNREAD_DEPTH`` (in a model's ``provenance``, an
+ensemble's ``meta``, an unknown key) sends the file to the stdlib run, so
+that a file the stdlib decoder refuses as too deep is still refused. That
+decoder's limit is the recursion limit less its caller's frames, so it
+depends on where a reader is called from; the skeleton adds one frame to a
+model or ensemble read.
 
 Every reader decodes and converts its document, in both runs, with the
 cyclic garbage collector paused. An n = 4 superoperator file decodes into
@@ -149,10 +154,12 @@ class _CollectorPause(contextlib.ContextDecorator):
     The collector setting belongs to the process, so concurrent reads share
     one pause, counted under a lock: a read that tested the setting and then
     disabled it in two steps could otherwise see the pause of another read
-    and leave the collector off for good. Readers use it as a decorator, so
-    that the reader's frame, and with it every reference to the parsed JSON
-    tree, is gone before the collector resumes; a collection after that
-    point finds none of the tree."""
+    and leave the collector off for good. It decorates the one reader
+    skeleton, so that the skeleton's frame, and with it every reference to
+    the parsed JSON tree, is gone before the collector resumes; a collection
+    after that point finds none of the tree. Reader bodies are module
+    functions, not closures, so that a reader makes no object the collector
+    tracks, which could set off a collection, before the pause begins."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -180,42 +187,37 @@ def _reject_nonfinite_constant(token: str) -> float:
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
 
-#: The two runs of a reader body, as ``(fast, context)``: the first on
-#: orjson's tree, the second on the stdlib decoder's. The first context
-#: suppresses a refusal of the tree, so that the body runs once more. The
-#: second suppresses nothing, so its run returns or refuses, and decides.
-#: Each reader runs its body inline in a loop over these, not through a
-#: helper, so that the stdlib run adds no frame to the stack: that
-#: decoder's nesting limit is the recursion limit less the caller's frames.
-_RUNS = (
-    (True, contextlib.suppress(orjson.JSONDecodeError, ModelFormatError, RecursionError)),
-    (False, contextlib.nullcontext()),
-)
-
-#: How deep a value that no check of a reader visits, such as a model's
-#: ``provenance``, may nest in orjson's tree. orjson decodes any depth,
-#: while the stdlib decoder refuses a document nested past its recursion
-#: limit (about 990 levels at the default limit), so a deeper unread value
-#: sends the document to the stdlib run.
+#: How deep a value that a reader body leaves in orjson's tree, such as a
+#: model's ``provenance``, may nest. orjson decodes any depth, while the
+#: stdlib decoder refuses a document nested past its recursion limit (about
+#: 990 levels at the default limit), so a deeper unread value sends the
+#: document to the stdlib run.
 _UNREAD_DEPTH = 100
 
-#: The keys that the readers check in a document and in its nested objects;
-#: a value under any other key is unread. The matrix keys follow the kind.
-#: An ensemble's ``meta`` is not read.
-_ENSEMBLE_KEYS = ("format_version", "kind", "dim", "members")
-_MEMBER_KEYS = ("weight", "data")
-_MODEL_KEYS = (
-    "format_version", "kind", "n", "entries", "leakage_weight", "truncated_weight", "diagnostics",
-)
-_ENTRY_KEYS = ("label", "probability")
-_DIAGNOSTICS_KEYS = ("identity_prob", "coherent_residual_sq", "distance_to_source")
 
-
-def _read_bytes(path: str | Path) -> bytes:
+@_collector_paused
+def _read_document(
+    path: str | Path, kinds: tuple[str, ...], body: Callable[..., Any], *args: Any
+) -> Any:
+    """The one skeleton of every reader: ``body(doc, kind, path, *args)`` on
+    orjson's tree of the file at ``path``, checked by :func:`_load_document`
+    to be of one of ``kinds``, then a walk of what the body left in the tree
+    (see the module docstring). When orjson, the body or the walk refuses,
+    the body runs once more on the stdlib decoder's tree, and that run
+    decides."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _fail(path, f"cannot read file ({exc})") from exc
+    try:
+        doc, kind = _load_document(path, data, kinds, True)
+        result = body(doc, kind, path, *args)
+        _require_shallow_unread(doc, path)
+        return result
+    except (orjson.JSONDecodeError, ModelFormatError, RecursionError):
+        pass
+    doc, kind = _load_document(path, data, kinds, False)
+    return body(doc, kind, path, *args)
 
 
 def _load_document(
@@ -254,19 +256,18 @@ def _load_document(
     return doc, kind
 
 
-def _require_shallow_unread(
-    mapping: dict[str, Any], read: Iterable[str], path: str | Path
-) -> None:
-    """Refuse orjson's tree when a value of ``mapping`` under a key outside
-    ``read`` nests deeper than ``_UNREAD_DEPTH``. The walk goes one level at
-    a time, so that no depth of input recurses."""
-    level = [mapping[key] for key in mapping.keys() - read]
+def _require_shallow_unread(doc: dict[str, Any], path: str | Path) -> None:
+    """Refuse orjson's tree when a value that a reader body left in ``doc``
+    nests deeper than ``_UNREAD_DEPTH``. The walk goes one level at a time,
+    so that no depth of input recurses. Empty values, such as the entries
+    of a model once its body has popped their fields, are dropped in C."""
+    level = list(doc.values())
     for _ in range(_UNREAD_DEPTH):
         if not level:
             return
         level = [
             child
-            for value in level
+            for value in filter(None, level)
             if isinstance(value, (dict, list))
             for child in (value.values() if isinstance(value, dict) else value)
         ]
@@ -563,22 +564,13 @@ def _write_matrix(
     return dump_json(path, document, key="data", blocks=[_pair_texts(matrix)])
 
 
-@_collector_paused
-def _read_matrix(path: str | Path, kinds: tuple[str, ...]) -> MatrixDocument:
-    """The one reader of operator, superoperator and coefficient documents;
-    the document must be of one of ``kinds``."""
-    data = _read_bytes(path)
-    for fast, run in _RUNS:
-        with run:
-            doc, kind = _load_document(path, data, kinds, fast)
-            key, low, high, side_of, _, _ = _SIZINGS[kind]
-            if fast:
-                _require_shallow_unread(doc, ("format_version", "kind", key, "data", "meta"), path)
-            side = side_of(_int_field(doc.get(key), key, path, low, high))
-            matrix = _pairs_to_matrix(doc.get("data"), side, path, key)
-            return MatrixDocument(
-                kind=kind, matrix=matrix, meta=_check_meta(doc.get("meta"), path)
-            )
+def _read_matrix(doc: dict[str, Any], kind: str, path: str | Path) -> MatrixDocument:
+    """The one reader body of operator, superoperator and coefficient
+    documents; it pops ``data``."""
+    key, low, high, side_of, _, _ = _SIZINGS[kind]
+    side = side_of(_int_field(doc.get(key), key, path, low, high))
+    matrix = _pairs_to_matrix(doc.pop("data", None), side, path, key)
+    return MatrixDocument(kind=kind, matrix=matrix, meta=_check_meta(doc.get("meta"), path))
 
 
 def write_matrix_file(
@@ -598,7 +590,7 @@ def write_matrix_file(
 def read_matrix_file(path: str | Path) -> MatrixDocument:
     """Read an operator or superoperator document written by this module."""
     # Not a coefficient matrix: a caller would take it for an operator.
-    return _read_matrix(path, (KIND_OPERATOR, KIND_SUPEROPERATOR))
+    return _read_document(path, (KIND_OPERATOR, KIND_SUPEROPERATOR), _read_matrix)
 
 
 def write_ensemble_file(
@@ -628,36 +620,32 @@ def write_ensemble_file(
     return dump_json(path, document, key="data", depth=3, blocks=blocks)
 
 
-@_collector_paused
 def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
     """Read a weighted unitary ensemble document; :class:`EnsembleMember`
     judges each weight's range."""
-    data = _read_bytes(path)
-    for fast, run in _RUNS:
-        with run:
-            doc, _ = _load_document(path, data, (KIND_ENSEMBLE,), fast)
-            if fast:
-                _require_shallow_unread(doc, _ENSEMBLE_KEYS, path)
-            dim = _int_field(doc.get("dim"), "dim", path, 2)
-            raw_members = doc.get("members")
-            _require(
-                isinstance(raw_members, list) and len(raw_members) > 0,
-                path,
-                "'members' must be a non-empty list",
-            )
-            members = []
-            for i, raw in enumerate(raw_members):
-                _require(isinstance(raw, dict), path, f"'members[{i}]' must be an object")
-                # A member without both read keys is refused below.
-                if fast and len(raw) > len(_MEMBER_KEYS):
-                    _require_shallow_unread(raw, _MEMBER_KEYS, path)
-                weight = _number_field(raw.get("weight"), f"members[{i}].weight", path)
-                matrix = _pairs_to_matrix(raw.get("data"), dim, path, "dim")
-                try:
-                    members.append(EnsembleMember(weight=weight, unitary=matrix))
-                except ValueError as exc:
-                    raise _fail(path, f"'members[{i}]': {exc}") from exc
-            return members
+    return _read_document(path, (KIND_ENSEMBLE,), _read_ensemble)
+
+
+def _read_ensemble(doc: dict[str, Any], kind: str, path: str | Path) -> list[EnsembleMember]:
+    """The reader body of an ensemble document; it pops each member's
+    ``data``."""
+    dim = _int_field(doc.get("dim"), "dim", path, 2)
+    raw_members = doc.get("members")
+    _require(
+        isinstance(raw_members, list) and len(raw_members) > 0,
+        path,
+        "'members' must be a non-empty list",
+    )
+    members = []
+    for i, raw in enumerate(raw_members):
+        _require(isinstance(raw, dict), path, f"'members[{i}]' must be an object")
+        weight = _number_field(raw.get("weight"), f"members[{i}].weight", path)
+        matrix = _pairs_to_matrix(raw.pop("data", None), dim, path, "dim")
+        try:
+            members.append(EnsembleMember(weight=weight, unitary=matrix))
+        except ValueError as exc:
+            raise _fail(path, f"'members[{i}]': {exc}") from exc
+    return members
 
 
 def write_coefficient_file(
@@ -673,7 +661,7 @@ def write_coefficient_file(
 def read_coefficient_file(path: str | Path) -> np.ndarray:
     """Read a coefficient matrix document back into a complex array; ``n`` is
     held to ``DEFAULT_SUPEROP_MAX_QUBITS``, the cap under which one is written."""
-    return _read_matrix(path, (KIND_COEFFICIENTS,)).matrix
+    return _read_document(path, (KIND_COEFFICIENTS,), _read_matrix).matrix
 
 
 def write_model(
@@ -722,7 +710,6 @@ def write_model(
     return dump_json(path, document, key="entries", row=_ENTRY_ROW, blocks=[values])
 
 
-@_collector_paused
 def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     """Read a noise model document that :func:`write_model` wrote in the
     same mode.
@@ -732,77 +719,73 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     :meth:`PauliNoiseModel.validate`, the budget rule of the strict writer.
     Either refusal raises ``ModelFormatError`` naming the file.
     """
-    data = _read_bytes(path)
-    for fast, run in _RUNS:
-        with run:
-            doc, _ = _load_document(path, data, (KIND_MODEL,), fast)
-            if fast:
-                _require_shallow_unread(doc, _MODEL_KEYS, path)
-            n = _int_field(doc.get("n"), "n", path, 1, MAX_MODEL_QUBITS)
-            entries = doc.get("entries")
-            _require(isinstance(entries, list), path, "'entries' must be a list")
-            by_index: dict[int, float] = {}
-            for i, raw in enumerate(entries):
-                _require(isinstance(raw, dict), path, f"'entries[{i}]' must be an object")
-                # An entry without both read keys is refused below.
-                if fast and len(raw) > len(_ENTRY_KEYS):
-                    _require_shallow_unread(raw, _ENTRY_KEYS, path)
-                label = raw.get("label")
-                _require(isinstance(label, str), path, f"'entries[{i}].label' must be a string")
-                try:
-                    index = label_to_index(label)
-                except ValueError as exc:
-                    raise _fail(path, f"'entries[{i}].label': {exc}") from exc
-                _require(
-                    len(label) == n,
-                    path,
-                    f"'entries[{i}].label' {label!r} does not have {n} characters",
-                )
-                _require(
-                    index not in by_index,
-                    path,
-                    f"'entries[{i}].label' {label!r} appears more than once",
-                )
-                by_index[index] = _number_field(
-                    raw.get("probability"), f"entries[{i}].probability", path
-                )
-            leakage = _number_field(doc.get("leakage_weight", 0.0), "leakage_weight", path)
-            truncated = _number_field(
-                doc.get("truncated_weight", 0.0), "truncated_weight", path
-            )
-            diag_raw = doc.get("diagnostics")
-            _require(isinstance(diag_raw, dict), path, "'diagnostics' must be an object")
-            if fast:
-                _require_shallow_unread(diag_raw, _DIAGNOSTICS_KEYS, path)
+    return _read_document(path, (KIND_MODEL,), _read_model, strict)
 
-            def _optional_float(key: str) -> float | None:
-                value = diag_raw.get(key)
-                if value is None:
-                    return None
-                return _number_field(value, f"diagnostics.{key}", path)
 
-            diagnostics = ModelDiagnostics(
-                identity_prob=_number_field(
-                    diag_raw.get("identity_prob"), "diagnostics.identity_prob", path
-                ),
-                coherent_residual_sq=_optional_float("coherent_residual_sq"),
-                distance_to_source=_optional_float("distance_to_source"),
-            )
-            probs = np.zeros(4**n)
-            probs[list(by_index)] = list(by_index.values())
-            try:
-                model = PauliNoiseModel(
-                    n,
-                    probs,
-                    leakage_weight=leakage,
-                    truncated_weight=truncated,
-                    diagnostics=diagnostics,
-                )
-                if strict:
-                    model.validate()
-            except (ValueError, PhysicalityError) as exc:
-                raise _fail(path, str(exc)) from exc
-            return model
+def _read_model(
+    doc: dict[str, Any], kind: str, path: str | Path, strict: bool
+) -> PauliNoiseModel:
+    """The reader body of a model document; it pops each entry's ``label``
+    and ``probability``, so that the walk finds nothing left in the 4**n
+    entries."""
+    n = _int_field(doc.get("n"), "n", path, 1, MAX_MODEL_QUBITS)
+    entries = doc.get("entries")
+    _require(isinstance(entries, list), path, "'entries' must be a list")
+    by_index: dict[int, float] = {}
+    for i, raw in enumerate(entries):
+        _require(isinstance(raw, dict), path, f"'entries[{i}]' must be an object")
+        label = raw.pop("label", None)
+        _require(isinstance(label, str), path, f"'entries[{i}].label' must be a string")
+        try:
+            index = label_to_index(label)
+        except ValueError as exc:
+            raise _fail(path, f"'entries[{i}].label': {exc}") from exc
+        _require(
+            len(label) == n,
+            path,
+            f"'entries[{i}].label' {label!r} does not have {n} characters",
+        )
+        _require(
+            index not in by_index,
+            path,
+            f"'entries[{i}].label' {label!r} appears more than once",
+        )
+        by_index[index] = _number_field(
+            raw.pop("probability", None), f"entries[{i}].probability", path
+        )
+    leakage = _number_field(doc.get("leakage_weight", 0.0), "leakage_weight", path)
+    truncated = _number_field(doc.get("truncated_weight", 0.0), "truncated_weight", path)
+    diag_raw = doc.get("diagnostics")
+    _require(isinstance(diag_raw, dict), path, "'diagnostics' must be an object")
+
+    def _optional_float(key: str) -> float | None:
+        value = diag_raw.get(key)
+        if value is None:
+            return None
+        return _number_field(value, f"diagnostics.{key}", path)
+
+    diagnostics = ModelDiagnostics(
+        identity_prob=_number_field(
+            diag_raw.get("identity_prob"), "diagnostics.identity_prob", path
+        ),
+        coherent_residual_sq=_optional_float("coherent_residual_sq"),
+        distance_to_source=_optional_float("distance_to_source"),
+    )
+    probs = np.zeros(4**n)
+    probs[list(by_index)] = list(by_index.values())
+    try:
+        model = PauliNoiseModel(
+            n,
+            probs,
+            leakage_weight=leakage,
+            truncated_weight=truncated,
+            diagnostics=diagnostics,
+        )
+        if strict:
+            model.validate()
+    except (ValueError, PhysicalityError) as exc:
+        raise _fail(path, str(exc)) from exc
+    return model
 
 
 def _target_table(first: int, count: int) -> list[str]:

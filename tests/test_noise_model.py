@@ -133,6 +133,15 @@ def test_document_and_chain_match_per_label_oracle(probs, floor, truncated, leak
     assert export_stim_chain(model) == _oracle_chain(model)
 
 
+def test_default_diagnostics_record_the_identity_probability(tmp_path):
+    model = PauliNoiseModel(n=1, probs=[0.9, 0.1, 0.0, 0.0])
+    assert model.diagnostics == ModelDiagnostics(identity_prob=0.9)
+    path = tmp_path / "model.json"
+    write_model(path, model)
+    assert json.loads(path.read_text())["diagnostics"]["identity_prob"] == 0.9
+    assert read_model(path) == model
+
+
 def test_extracted_documents_match_per_label_oracle():
     for n in range(1, 8):
         model = extract_from_unitary(random_unitary(n, 40 + n)).model

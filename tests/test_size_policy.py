@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import paulinoise.extraction
+import paulinoise.generators
 from paulinoise import (
     DimensionError,
     EnsembleMember,
     LeakageSpec,
     PhysicalityError,
     SizeLimitError,
+    average_channel,
     extract_from_channel,
     extract_from_ensemble,
     extract_from_unitary,
@@ -121,6 +123,33 @@ def test_channel_cap_is_checked_before_compose_and_physicality(monkeypatch):
     assert model.n == 1 and model.leakage_weight == pytest.approx(0.5)
     with pytest.raises(PhysicalityError):
         extract_from_channel(0.99 * np.eye(9), leakage=spec)
+
+
+def test_amplitude_cap_is_checked_before_compose_and_unitarity(monkeypatch):
+    monkeypatch.setattr(paulinoise.extraction, "MAX_MODEL_QUBITS", 1)
+    # Not unitary, and with a target to compose: a cap checked late would
+    # report the unitarity error first.
+    with pytest.raises(SizeLimitError, match="exceeds the supported 2 levels"):
+        extract_from_unitary(0.99 * np.eye(4), np.eye(4))
+    with pytest.raises(SizeLimitError, match="exceeds the supported 2 levels"):
+        extract_from_ensemble([EnsembleMember(1.0, 0.99 * np.eye(4))], np.eye(4))
+    # With leakage only the one-qubit block is expanded, so a 3-level space
+    # passes a one-qubit cap and reaches the unitarity check.
+    spec = LeakageSpec(full_dim=3, comp_indices=(0, 1))
+    with pytest.raises(PhysicalityError):
+        extract_from_unitary(0.99 * np.eye(3), leakage=spec)
+    with pytest.raises(PhysicalityError):
+        extract_from_ensemble([EnsembleMember(1.0, 0.99 * np.eye(3))], leakage=spec)
+
+
+def test_average_channel_takes_the_channel_route_cap(monkeypatch):
+    monkeypatch.setattr(paulinoise.generators, "DEFAULT_SUPEROP_MAX_QUBITS", 1)
+    with pytest.raises(SizeLimitError, match="exceeds the supported 2 levels"):
+        average_channel([EnsembleMember(1.0, np.eye(4))])
+    # The cap comes before the members' unitarity checks.
+    with pytest.raises(SizeLimitError):
+        average_channel([EnsembleMember(1.0, 0.99 * np.eye(4))])
+    assert average_channel([EnsembleMember(1.0, np.eye(2))]).shape == (4, 4)
 
 
 def test_unitary_and_ensemble_routes_share_the_model_cap(monkeypatch):
