@@ -25,6 +25,7 @@ from .errors import (
     SizeLimitError,
 )
 from .extraction import (
+    ExtractionChecks,
     ExtractionResult,
     LeakageSpec,
     ModelDiagnostics,
@@ -75,6 +76,7 @@ from .paulis import (
 __all__ = [
     "DimensionError",
     "EnsembleMember",
+    "ExtractionChecks",
     "ExtractionResult",
     "LeakageSpec",
     "MatrixDocument",

@@ -237,6 +237,33 @@ class LeakageSpec:
 
 
 @dataclass(frozen=True)
+class ExtractionChecks:
+    """What a route's physicality checks measured, recorded whether or not
+    the route judged it: ``allow_nonphysical`` skips a verdict, never the
+    measurement. ``None`` marks a check the route does not make.
+
+    ``trace_defect`` and ``hermiticity_defect`` are the error channel's, on
+    the full space before any leakage projection. The channel route measures
+    both; the ensemble route the trace defect ``max|sum_k p_k E_k^dag E_k -
+    I|``, as a real-weighted mixture of conjugations preserves hermiticity
+    exactly; the unitary route neither. ``leakage`` is the leakage weight
+    before clipping, ``1 - sum_P Re w_PP`` of the computational block, on a
+    route given a leakage spec. ``max_imag``, ``min_weight`` and
+    ``max_weight`` are the largest imaginary part and the extreme real parts
+    of the diagonal ``w_PP`` before clamping, and ``clamped_mass`` is
+    ``sum_P |w_PP - p_P|``, the mass the clamping moved.
+    """
+
+    trace_defect: float | None
+    hermiticity_defect: float | None
+    leakage: float | None
+    max_imag: float
+    min_weight: float
+    max_weight: float
+    clamped_mass: float
+
+
+@dataclass(frozen=True)
 class ExtractionResult:
     """A model plus the expansion data it was derived from.
 
@@ -245,13 +272,15 @@ class ExtractionResult:
     instead the error amplitudes of each member (one row per member, basis
     index order) and the member weights ``mixture``. :meth:`weight_matrix`
     builds the coefficient matrix from either on demand: ``coefficient_matrix
-    (channel)``, or ``sum_k p_k a_k a_k^dag``.
+    (channel)``, or ``sum_k p_k a_k a_k^dag``. Every route records what its
+    checks measured in ``checks``.
     """
 
     model: PauliNoiseModel
     channel: np.ndarray | None = None
     amplitudes: np.ndarray | None = None
     mixture: np.ndarray | None = None
+    checks: ExtractionChecks | None = None
 
     def weight_matrix(self) -> np.ndarray:
         """The ``4**n x 4**n`` Pauli-pair coefficient matrix.
@@ -389,17 +418,23 @@ _NON_FINITE_WEIGHTS = (
 
 def _assemble_model(
     diag: np.ndarray,
-    leakage_weight: float,
+    leakage_weight: float | None,
     total_sq: float | None,
     tol: float,
     allow_nonphysical: bool = False,
-) -> PauliNoiseModel:
-    """Clamp diagonal weights into probabilities and attach diagnostics.
+    defects: tuple[float | None, float | None] = (None, None),
+    **expansion: np.ndarray,
+) -> ExtractionResult:
+    """Clamp diagonal weights into probabilities and attach diagnostics: the
+    one end of every route.
 
-    ``total_sq`` is the source channel's total weight ``sum_PQ |w_PQ|^2``;
-    with it the coherent residual and the distance to the source are
-    recorded, without it (``None``) both stay ``None``. Weights or
-    diagnostics that are not finite raise ``ValueError``.
+    ``leakage_weight`` is the clipped leakage of a route given a leakage
+    spec, ``None`` without one. ``total_sq`` is the source channel's total
+    weight ``sum_PQ |w_PQ|^2``; with it the coherent residual and the
+    distance to the source are recorded, without it (``None``) both stay
+    ``None``. Weights or diagnostics that are not finite raise
+    ``ValueError``. The result records ``expansion`` and the checks: the
+    route's trace and hermiticity ``defects`` and what is measured here.
 
     Imaginary parts within ``tol`` are removed; larger ones are a
     physicality error. Real parts are clamped to ``[0, 1]``, but weights
@@ -417,10 +452,10 @@ def _assemble_model(
     # are refused before any check below reads them.
     with np.errstate(over="ignore", invalid="ignore"):
         probs = np.clip(real, 0.0, 1.0)
+        gap = np.abs(diag - probs)
         if total_sq is not None:
             residual_sq = _off_diagonal_sq(total_sq, diag)
-            mismatch_sq = float(np.sum(np.abs(diag - probs) ** 2))
-            distance = float(np.sqrt(residual_sq + mismatch_sq))
+            distance = float(np.sqrt(residual_sq + float((gap**2).sum())))
     if not (np.isfinite(diag).all() and (distance is None or math.isfinite(distance))):
         raise ValueError(_NON_FINITE_WEIGHTS)
     max_imag = float(np.max(np.abs(diag.imag)))
@@ -448,20 +483,26 @@ def _assemble_model(
         coherent_residual_sq=residual_sq,
         distance_to_source=distance,
     )
-    return PauliNoiseModel(
+    model = PauliNoiseModel(
         n=n,
         probs=probs,
-        leakage_weight=float(leakage_weight),
+        leakage_weight=0.0 if leakage_weight is None else float(leakage_weight),
         diagnostics=diagnostics,
     )
+    leakage = None if leakage_weight is None else 1.0 - float(real.sum())
+    checks = ExtractionChecks(
+        *defects, leakage, max_imag, float(real[worst]), float(real[top]), float(gap.sum())
+    )
+    return ExtractionResult(model, checks=checks, **expansion)
 
 
 def _result_from_amplitudes(
     amplitudes: np.ndarray,
     mixture: np.ndarray,
-    leakage_weight: float,
+    leakage_weight: float | None,
     tol: float,
     allow_nonphysical: bool,
+    defects: tuple[float | None, float | None],
 ) -> ExtractionResult:
     """Model of the channel ``w = sum_k p_k a_k a_k^dag`` from the rows ``a_k``
     of ``amplitudes`` and the weights ``p_k`` in ``mixture``.
@@ -479,10 +520,10 @@ def _result_from_amplitudes(
         gram = np.abs(amplitudes.conj() @ amplitudes.T) ** 2
         np.fill_diagonal(gram, power.sum(axis=1) ** 2)
         total_sq = float(mixture @ gram @ mixture)
-    model = _assemble_model(
-        diag.astype(complex), leakage_weight, total_sq, tol, allow_nonphysical
+    return _assemble_model(
+        diag.astype(complex), leakage_weight, total_sq, tol, allow_nonphysical, defects,
+        amplitudes=amplitudes, mixture=mixture,
     )
-    return ExtractionResult(model=model, amplitudes=amplitudes, mixture=mixture)
 
 
 def nearest_pauli_channel(
@@ -509,14 +550,14 @@ def nearest_pauli_channel(
         diag[[label_to_index(lab) for lab in weights]] = [
             complex(value) for value in weights.values()
         ]
-        return _assemble_model(diag, 0.0, None, tol)
+        return _assemble_model(diag, None, None, tol).model
     arr = np.asarray(weights, dtype=complex)
     if arr.ndim == 2:
         arr = square_matrix(arr, "coefficient matrix")
         total_sq = float(np.sum(np.abs(arr) ** 2))
-        return _assemble_model(np.diagonal(arr), 0.0, total_sq, tol)
+        return _assemble_model(np.diagonal(arr), None, total_sq, tol).model
     if arr.ndim == 1:
-        return _assemble_model(arr, 0.0, None, tol)
+        return _assemble_model(arr, None, None, tol).model
     raise DimensionError(f"weights must be a matrix, vector, or mapping, got ndim={arr.ndim}")
 
 
@@ -614,6 +655,7 @@ def _extract_from_errors(
     leakage: LeakageSpec | None,
     tol: float,
     allow_nonphysical: bool,
+    defects: tuple[float | None, float | None] = (None, None),
 ) -> ExtractionResult:
     """Shared tail of the unitary and ensemble routes, from the members'
     errors ``errs`` (``K x D x D``) and their weights.
@@ -624,14 +666,14 @@ def _extract_from_errors(
     holds, so the cap is that of the model: ``MAX_MODEL_QUBITS``, which
     each route checks before its unitarity checks.
     """
-    leak = 0.0
+    leak = None
     if leakage is not None:
         blocks, leaks = zip(*(leakage_project(e, leakage, tol=tol) for e in errs))
         errs = np.stack(blocks)
         leak = float(weights @ np.array(leaks))
     n = qubit_count(errs.shape[1])
     amplitudes = np.stack([_amplitudes(e, n) for e in errs])
-    return _result_from_amplitudes(amplitudes, weights, leak, tol, allow_nonphysical)
+    return _result_from_amplitudes(amplitudes, weights, leak, tol, allow_nonphysical, defects)
 
 
 def extract_from_unitary(
@@ -689,14 +731,14 @@ def extract_from_ensemble(
     errs = unitaries
     if target is not None:
         errs = unitaries @ _target_adjoint(target, unitaries.shape[1], tol)
+    # trace_preservation_defect of sum_k p_k kron(E_k, E_k^*), without the
+    # superoperator. A real-weighted mixture of conjugations preserves
+    # hermiticity exactly, so that check has nothing to find here.
+    kept = np.tensordot(weights, errs.conj().transpose(0, 2, 1) @ errs, axes=1)
+    defect = float(np.max(np.abs(kept - np.eye(kept.shape[0]))))
     if not allow_nonphysical:
-        # trace_preservation_defect of sum_k p_k kron(E_k, E_k^*), without the
-        # superoperator. A real-weighted mixture of conjugations preserves
-        # hermiticity exactly, so that check has nothing to find here.
-        kept = np.tensordot(weights, errs.conj().transpose(0, 2, 1) @ errs, axes=1)
-        defect = float(np.max(np.abs(kept - np.eye(kept.shape[0]))))
         _require_preserving(defect, tol, "trace")
-    return _extract_from_errors(errs, weights, leakage, tol, allow_nonphysical)
+    return _extract_from_errors(errs, weights, leakage, tol, allow_nonphysical, (defect, None))
 
 
 def extract_from_channel(
@@ -723,15 +765,19 @@ def extract_from_channel(
     # checks run; with leakage, only the computational block is expanded.
     check_levels(d if leakage is None else leakage.comp_dim, DEFAULT_SUPEROP_MAX_QUBITS)
     err = s if target is None else error_channel(s, target, tol=tol)
+    # Entries beyond double precision make the defects inf or NaN, silently:
+    # the verdicts refuse them, and with the verdicts skipped the weights are.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = (trace_preservation_defect(err), hermiticity_defect(err))
     if not allow_nonphysical:
-        _require_preserving(trace_preservation_defect(err), tol, "trace")
-        _require_preserving(hermiticity_defect(err), tol, "hermiticity")
-    leak = 0.0
+        _require_preserving(defects[0], tol, "trace")
+        _require_preserving(defects[1], tol, "hermiticity")
+    leak = None
     if leakage is not None:
         err, leak = leakage_project_channel(err, leakage, tol=tol)
     d2, d = superoperator_dims(err)
     total_sq = float(np.vdot(err, err).real) / d2
-    model = _assemble_model(
-        _channel_diagonal(err, qubit_count(d)), leak, total_sq, tol, allow_nonphysical
+    return _assemble_model(
+        _channel_diagonal(err, qubit_count(d)), leak, total_sq, tol, allow_nonphysical,
+        defects, channel=err,
     )
-    return ExtractionResult(model=model, channel=err)

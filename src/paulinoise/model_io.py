@@ -44,7 +44,7 @@ Readers only decode the structure and finite JSON numbers: the type a number
 is read into (:class:`PauliNoiseModel`, :class:`EnsembleMember`) judges its
 range, and a refusal is re-raised as ``ModelFormatError`` naming the file.
 
-Every reader is one body run by one skeleton, :func:`_read_document`, on
+Every reader is one body run by one skeleton, :func:`_decode_document`, on
 the tree that orjson decodes, two to three times as fast as the stdlib
 ``json`` module on large files and to the same doubles. When orjson refuses
 the file, or the body refuses orjson's tree, the body runs once more on the
@@ -77,7 +77,6 @@ which ends with the last of them.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import itertools
 import json
@@ -115,6 +114,12 @@ KIND_ENSEMBLE = "unitary_ensemble"
 KIND_MODEL = "pauli_noise_model"
 KIND_COEFFICIENTS = "coefficient_matrix"
 
+#: The kinds each reader accepts, built once (see :class:`_CollectorPause`).
+_MATRIX_KINDS = (KIND_OPERATOR, KIND_SUPEROPERATOR)
+_ENSEMBLE_KINDS = (KIND_ENSEMBLE,)
+_COEFFICIENT_KINDS = (KIND_COEFFICIENTS,)
+_MODEL_KINDS = (KIND_MODEL,)
+
 #: JSON numbers parse to exactly these types; ``bool`` is not one of them.
 _NUMBER_TYPES = (int, float)
 
@@ -146,7 +151,7 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-class _CollectorPause(contextlib.ContextDecorator):
+class _CollectorPause:
     """Disables the cyclic garbage collector while any read runs, and enables
     it again when the last read ends only if it was enabled when the first
     began.
@@ -154,30 +159,33 @@ class _CollectorPause(contextlib.ContextDecorator):
     The collector setting belongs to the process, so concurrent reads share
     one pause, counted under a lock: a read that tested the setting and then
     disabled it in two steps could otherwise see the pause of another read
-    and leave the collector off for good. It decorates the one reader
-    skeleton, so that the skeleton's frame, and with it every reference to
-    the parsed JSON tree, is gone before the collector resumes; a collection
-    after that point finds none of the tree. Reader bodies are module
-    functions, not closures, so that a reader makes no object the collector
-    tracks, which could set off a collection, before the pause begins."""
+    and leave the collector off for good. :meth:`begin` and :meth:`end` are
+    plain calls on the lock and the ``gc`` module, because any object the
+    collector tracks, such as the bound ``__exit__`` of a ``with`` block or
+    the argument tuple of a decorator's wrapper, can set off a collection
+    when it is allocated. For the same reason a reader makes no such object
+    before the pause begins: its bodies are module functions, not closures,
+    and the kinds it accepts are module constants."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._reads = 0
         self._resume = False
 
-    def __enter__(self) -> None:
-        with self._lock:
-            if not self._reads:
-                self._resume = gc.isenabled()
-                gc.disable()
-            self._reads += 1
+    def begin(self) -> None:
+        self._lock.acquire()
+        if not self._reads:
+            self._resume = gc.isenabled()
+            gc.disable()
+        self._reads += 1
+        self._lock.release()
 
-    def __exit__(self, *exc_info: object) -> None:
-        with self._lock:
-            self._reads -= 1
-            if not self._reads and self._resume:
-                gc.enable()
+    def end(self) -> None:
+        self._lock.acquire()
+        self._reads -= 1
+        if not self._reads and self._resume:
+            gc.enable()
+        self._lock.release()
 
 
 _collector_paused = _CollectorPause()
@@ -195,9 +203,23 @@ def _reject_nonfinite_constant(token: str) -> float:
 _UNREAD_DEPTH = 100
 
 
-@_collector_paused
 def _read_document(
-    path: str | Path, kinds: tuple[str, ...], body: Callable[..., Any], *args: Any
+    path: str | Path, kinds: tuple[str, ...], body: Callable[..., Any], strict: bool | None = None
+) -> Any:
+    """Every reader's one call: :func:`_decode_document` with the collector
+    paused, passing ``strict`` on to the body unless it is ``None``. The
+    pause ends here, once the skeleton's frame, and with it every reference
+    to the parsed JSON tree, is gone, so a collection after it finds none of
+    the tree."""
+    _collector_paused.begin()
+    try:
+        return _decode_document(path, kinds, body, () if strict is None else (strict,))
+    finally:
+        _collector_paused.end()
+
+
+def _decode_document(
+    path: str | Path, kinds: tuple[str, ...], body: Callable[..., Any], args: tuple[Any, ...]
 ) -> Any:
     """The one skeleton of every reader: ``body(doc, kind, path, *args)`` on
     orjson's tree of the file at ``path``, checked by :func:`_load_document`
@@ -590,7 +612,7 @@ def write_matrix_file(
 def read_matrix_file(path: str | Path) -> MatrixDocument:
     """Read an operator or superoperator document written by this module."""
     # Not a coefficient matrix: a caller would take it for an operator.
-    return _read_document(path, (KIND_OPERATOR, KIND_SUPEROPERATOR), _read_matrix)
+    return _read_document(path, _MATRIX_KINDS, _read_matrix)
 
 
 def write_ensemble_file(
@@ -623,7 +645,7 @@ def write_ensemble_file(
 def read_ensemble_file(path: str | Path) -> list[EnsembleMember]:
     """Read a weighted unitary ensemble document; :class:`EnsembleMember`
     judges each weight's range."""
-    return _read_document(path, (KIND_ENSEMBLE,), _read_ensemble)
+    return _read_document(path, _ENSEMBLE_KINDS, _read_ensemble)
 
 
 def _read_ensemble(doc: dict[str, Any], kind: str, path: str | Path) -> list[EnsembleMember]:
@@ -661,7 +683,7 @@ def write_coefficient_file(
 def read_coefficient_file(path: str | Path) -> np.ndarray:
     """Read a coefficient matrix document back into a complex array; ``n`` is
     held to ``DEFAULT_SUPEROP_MAX_QUBITS``, the cap under which one is written."""
-    return _read_document(path, (KIND_COEFFICIENTS,), _read_matrix).matrix
+    return _read_document(path, _COEFFICIENT_KINDS, _read_matrix).matrix
 
 
 def write_model(
@@ -719,7 +741,7 @@ def read_model(path: str | Path, *, strict: bool = True) -> PauliNoiseModel:
     :meth:`PauliNoiseModel.validate`, the budget rule of the strict writer.
     Either refusal raises ``ModelFormatError`` naming the file.
     """
-    return _read_document(path, (KIND_MODEL,), _read_model, strict)
+    return _read_document(path, _MODEL_KINDS, _read_model, strict)
 
 
 def _read_model(

@@ -22,9 +22,11 @@ from paulinoise import (
     chain_to_probabilities,
     coefficient_matrix,
     lift_unitary,
+    overrotated_cz,
     random_unitary,
     read_coefficient_file,
     read_ensemble_file,
+    read_matrix_file,
     read_model,
     write_ensemble_file,
     write_matrix_file,
@@ -76,6 +78,20 @@ def test_gen_extract_flow(tmp_path, capsys):
     np.testing.assert_allclose(
         w, coefficient_matrix(lift_unitary(z_rotation(eps))), atol=1e-14
     )
+
+    cz = tmp_path / "cz.json"
+    assert run_cli(["gen", "overrotated-cz", "--theta", "0.05", "-o", str(cz)]) == 0
+    assert capsys.readouterr() == (f"wrote {cz}\n", "")
+    document = read_matrix_file(cz)
+    np.testing.assert_array_equal(document.matrix, overrotated_cz(0.05))
+    assert document.meta == {"generator": "overrotated-cz", "theta": "0.05"}
+
+    # A blank --probs part is skipped: the same channel, the same bytes.
+    channels = [tmp_path / "s.json", tmp_path / "s_blank.json"]
+    for probs, path in zip(["II:0.9,ZZ:0.1", "II:0.9, ,ZZ:0.1,"], channels):
+        assert run_cli(["gen", "pauli-channel", "--probs", probs, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert channels[0].read_bytes() == channels[1].read_bytes()
 
 
 def test_model_provenance_records_invocation(tmp_path):
@@ -405,6 +421,12 @@ def test_invalid_generator_probs_exit_2(tmp_path, capsys):
     assert run_cli(["gen", "pauli-channel", "--probs", "I:0.5"]) == 2
     assert run_cli(["gen", "pauli-channel", "--probs", "garbage"]) == 2
     capsys.readouterr()
+    for probs, message in [
+        ("Z:0.5,Z:0.5", "--probs lists label 'Z' twice"),
+        (",", "--probs lists no probabilities"),
+    ]:
+        assert run_cli(["gen", "pauli-channel", "--probs", probs]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_invalid_leakage_spec_exits_2(tmp_path, capsys):
@@ -413,6 +435,8 @@ def test_invalid_leakage_spec_exits_2(tmp_path, capsys):
     assert run_cli(["extract", "--unitary", str(swap), "--leakage", "a,b"]) == 2
     assert run_cli(["extract", "--unitary", str(swap), "--leakage", "0,9"]) == 2
     capsys.readouterr()
+    assert run_cli(["extract", "--unitary", str(swap), "--leakage", ","]) == 2
+    assert capsys.readouterr() == ("", "error: --leakage lists no indices\n")
 
 
 def test_version_flag_exits_0(capsys):

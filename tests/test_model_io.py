@@ -1054,6 +1054,40 @@ def test_readers_run_no_collection(reader_files):
     assert started == []
 
 
+def test_reads_start_no_collection_at_the_smallest_threshold(reader_files):
+    # With the gen-0 threshold at 1, nearly every object the collector
+    # tracks sets off a collection when it is allocated, so a read that
+    # allocates one before its pause begins starts a collection on almost
+    # every call. Only collections that start while a reader runs count.
+    inside = [False]
+    started = []
+
+    def hook(phase, info):
+        if phase == "start" and inside[0]:
+            started.append(info["generation"])
+
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        for name, path in reader_files.items():
+            reader = READERS[name][0]
+            # A first call may allocate what later calls reuse.
+            reader(path)
+            gc.set_threshold(1)
+            for _ in range(50):
+                inside[0] = True
+                reader(path)
+                inside[0] = False
+            gc.set_threshold(*thresholds)
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(hook)
+        if not enabled:
+            gc.disable()
+    assert started == []
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize(
     "case",
